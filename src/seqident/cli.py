@@ -48,7 +48,6 @@ from .optimize import optimize_backward, optimize_bruteforce
 from .prob import check_positivity, ci_deviation, joint, regime_mixture_joint, validate_model
 from .stability import (
     IdentificationReport,
-    check_assumptions,
     check_extended_stability,
     check_general,
     check_pearl_robins,
@@ -87,17 +86,18 @@ def _witness_text(witness) -> str:
     return " - ".join(witness)
 
 
-def _print_report(r: IdentificationReport) -> None:
-    print(f"[{r.check}] {'PASS' if r.passed else 'FAIL'}")
-    for e in r.entries:
-        status = "pass" if e.passed else "FAIL"
-        line = f"  i={e.index}: {e.query} : {status}"
-        if e.note:
-            line += f"  ({e.note})"
+def _print_report(rd: dict) -> None:
+    """Text rendering of one ``_report_dict`` document."""
+    print(f"[{rd['check']}] {'PASS' if rd['overall'] else 'FAIL'}")
+    for e in rd["entries"]:
+        status = "pass" if e["passed"] else "FAIL"
+        line = f"  i={e['index']}: {e['query']} : {status}"
+        if e["note"]:
+            line += f"  ({e['note']})"
         print(line)
-        if e.verdict is not None and e.verdict.witness is not None:
-            print(f"    witness: {_witness_text(e.verdict.witness)}")
-    for n in r.notes:
+        if e["witness"] is not None:
+            print(f"    witness: {_witness_text(e['witness'])}")
+    for n in rd["notes"]:
         print(f"  note: {n}")
 
 
@@ -122,13 +122,27 @@ def _report_dict(r: IdentificationReport) -> dict:
     }
 
 
-def _require_valid(d: StagedDiagram) -> int | None:
+def _analyse(d: StagedDiagram, spec: StrategyParentSpec):
+    """The five graphical reports in print order, and the combined verdict;
+    reports the verdict already holds are reused, not rerun."""
+    decision = decide_identifiability(d, spec)
+    general = decision.general if decision.general is not None else check_general(d, spec)
+    reports = [
+        decision.simple,
+        check_extended_stability(d),
+        general,
+        check_pearl_robins(d, spec),
+        decision.assumptions,
+    ]
+    return reports, decision
+
+
+def _has_violations(d: StagedDiagram) -> bool:
+    """Print the diagram's violations to stderr; true if there are any."""
     violations = validate_diagram(d)
-    if violations:
-        for v in violations:
-            print(f"{v.code}: {v.message}", file=sys.stderr)
-        return 1
-    return None
+    for v in violations:
+        print(f"{v.code}: {v.message}", file=sys.stderr)
+    return bool(violations)
 
 
 def _cmd_validate(args) -> int:
@@ -149,9 +163,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_dsep(args) -> int:
     pf = _load(args.file)
-    bad = _require_valid(pf.diagram)
-    if bad is not None:
-        return bad
+    if _has_violations(pf.diagram):
+        return 1
     groups: list[list[str]] = [[]]
     for tok in args.query:
         if tok == "/":
@@ -201,32 +214,31 @@ def _dsep_numeric(args, pf, x, y, z, uses_regime, separated) -> int | None:
 
 def _cmd_check(args) -> int:
     pf = _load(args.file)
-    bad = _require_valid(pf.diagram)
-    if bad is not None:
-        return bad
+    if _has_violations(pf.diagram):
+        return 1
     d = pf.diagram
-    reports: list[IdentificationReport] = []
     want_all = args.all or not (args.simple or args.extended or args.general or args.pearl_robins)
     spec = None
     if want_all or args.general or args.pearl_robins:
         spec = _resolve_spec(args.spec, d)
-    if want_all or args.simple:
-        reports.append(check_simple_stability(d))
-    if want_all or args.extended:
-        reports.append(check_extended_stability(d))
-    if want_all or args.general:
-        reports.append(check_general(d, spec))
-    if want_all or args.pearl_robins:
-        reports.append(check_pearl_robins(d, spec))
     if want_all:
-        reports.append(check_assumptions(d, spec))
+        reports, decision = _analyse(d, spec)
+    else:
+        reports = []
+        if args.simple:
+            reports.append(check_simple_stability(d))
+        if args.extended:
+            reports.append(check_extended_stability(d))
+        if args.general:
+            reports.append(check_general(d, spec))
+        if args.pearl_robins:
+            reports.append(check_pearl_robins(d, spec))
     for r in reports:
-        _print_report(r)
+        _print_report(_report_dict(r))
     if want_all:
         # the combined run answers the identifiability question, so the exit
         # code follows the verdict; assumption entries are regularity
         # conditions and never gate it
-        decision = decide_identifiability(d, spec)
         print(f"verdict: {decision.verdict.value}")
         return 0 if decision.verdict.value != "NotGuaranteed" else 1
     return 0 if all(r.passed for r in reports) else 1
@@ -234,9 +246,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_positivity(args) -> int:
     pf = _load(args.file)
-    bad = _require_valid(pf.diagram)
-    if bad is not None:
-        return bad
+    if _has_violations(pf.diagram):
+        return 1
     if pf.model is None:
         print("file has no cpt section", file=sys.stderr)
         return 2
@@ -255,9 +266,8 @@ def _cmd_positivity(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     pf = _load(args.file)
-    bad = _require_valid(pf.diagram)
-    if bad is not None:
-        return bad
+    if _has_violations(pf.diagram):
+        return 1
     if pf.model is None or pf.loss is None:
         print("evaluate needs cpt and loss sections", file=sys.stderr)
         return 2
@@ -292,9 +302,8 @@ def _strategy_table_lines(d: StagedDiagram, choices, oc) -> list[str]:
 
 def _cmd_optimize(args) -> int:
     pf = _load(args.file)
-    bad = _require_valid(pf.diagram)
-    if bad is not None:
-        return bad
+    if _has_violations(pf.diagram):
+        return 1
     if pf.model is None or pf.loss is None:
         print("optimize needs cpt and loss sections", file=sys.stderr)
         return 2
@@ -341,14 +350,7 @@ def _cmd_report(args) -> int:
     code = 1 if violations else 0
     if not violations:
         spec = _resolve_spec(args.spec, d)
-        reports = [
-            check_simple_stability(d),
-            check_extended_stability(d),
-            check_general(d, spec),
-            check_pearl_robins(d, spec),
-            check_assumptions(d, spec),
-        ]
-        decision = decide_identifiability(d, spec)
+        reports, decision = _analyse(d, spec)
         doc["reports"] = [_report_dict(r) for r in reports]
         doc["verdict"] = decision.verdict.value
         if decision.verdict.value == "NotGuaranteed":
@@ -379,15 +381,7 @@ def _cmd_report(args) -> int:
             print(f"{v.code}: {v.message}")
         if not violations:
             for rd in doc["reports"]:
-                print(f"[{rd['check']}] {'PASS' if rd['overall'] else 'FAIL'}")
-                for e in rd["entries"]:
-                    status = "pass" if e["passed"] else "FAIL"
-                    line = f"  i={e['index']}: {e['query']} : {status}"
-                    if e["note"]:
-                        line += f"  ({e['note']})"
-                    print(line)
-                    if e["witness"]:
-                        print(f"    witness: {_witness_text(e['witness'])}")
+                _print_report(rd)
             print(f"verdict: {doc['verdict']}")
             if doc["value"] is not None:
                 print(f"value {doc['value']!r}")

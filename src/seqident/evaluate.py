@@ -18,7 +18,7 @@ import numpy as np
 
 from .diagram import StagedDiagram
 from .errors import MaskedHistoryReachable, PositivityViolation
-from .prob import DiscreteModel, LossFunction, expectation, joint, marginal
+from .prob import DiscreteModel, LossFunction, _expand, expectation, joint, marginal
 from .strategy import Strategy
 
 
@@ -88,16 +88,13 @@ def observational_conditionals(m: DiscreteModel, d: StagedDiagram) -> Observatio
     )
 
 
-def _expand_kernel(kern: np.ndarray, parents: tuple[str, ...], hist: tuple[str, ...]) -> np.ndarray:
-    """Broadcast a strategy kernel over the full history axes plus the action axis."""
-    rank = len(hist) + 1
-    shape = [1] * rank
-    src_axes = [hist.index(p) for p in parents] + [rank - 1]
-    order = np.argsort(src_axes)
-    kern_t = np.transpose(kern, order)
-    for pos, ax in enumerate(sorted(src_axes)):
-        shape[ax] = kern_t.shape[pos]
-    return kern_t.reshape(shape)
+def _expand_kernel(oc: ObservationalConditionals, s: Strategy, i: int) -> np.ndarray:
+    """Broadcast stage i's strategy kernel over its full history axes plus the action axis."""
+    a = oc.action_labels[i - 1]
+    hist = oc.hist_vars[i - 1] + oc.block_vars[i - 1]
+    axes = [hist.index(p) for p in s.parents_of(a)] + [len(hist)]
+    shape = [oc.states[v] for v in hist + (a,)]
+    return _expand(s.kernel_table(a), axes, len(shape), shape)
 
 
 def _sum_block(weights: np.ndarray, f: np.ndarray, nblock: int) -> np.ndarray:
@@ -125,10 +122,8 @@ def check_recursion_support(oc: ObservationalConditionals, s: Strategy) -> None:
             raise MaskedHistoryReachable(i, _history_dict(oc.hist_vars[i - 1], cfg))
         nb = len(oc.block_vars[i - 1])
         w = w.reshape(w.shape + (1,) * nb) * oc.tables[i - 1]
-        a = oc.action_labels[i - 1]
         hist = oc.hist_vars[i - 1] + oc.block_vars[i - 1]
-        kern = _expand_kernel(s.kernel_table(a), s.parents_of(a), hist)
-        w = w[..., None] * kern
+        w = w[..., None] * _expand_kernel(oc, s, i)
         bad = (w > 0.0) & ~oc.masks[i]
         if bad.any():
             cfg = _first_true(bad)
@@ -158,10 +153,7 @@ def evaluate_g_recursion(
         if retained is not None:
             retained.append(f.copy())
         if i > 1:
-            a = oc.action_labels[i - 2]
-            hist = oc.hist_vars[i - 2] + oc.block_vars[i - 2]
-            kern = _expand_kernel(s.kernel_table(a), s.parents_of(a), hist)
-            f = np.sum(kern * f, axis=-1)
+            f = np.sum(_expand_kernel(oc, s, i - 1) * f, axis=-1)
             if retained is not None:
                 retained.append(f.copy())
     return EvaluationResult(

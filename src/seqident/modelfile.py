@@ -33,7 +33,8 @@ from .diagram import (
     staged_diagram,
 )
 from .errors import InvalidParentSpec, SeqidentError
-from .prob import DiscreteModel, LossFunction
+from .graph import MAX_NODES
+from .prob import DiscreteModel, LossFunction, loss_function
 from .strategy import Strategy, make_stochastic
 
 _KINDS = {k.value for k in VarKind}
@@ -150,6 +151,8 @@ def parse_model_file(text: str) -> ParsedModelFile:
                 err(head, "duplicate stages line")
             else:
                 stages = int(toks[1].text)
+                if stages + 1 > MAX_NODES:  # one action per stage plus the outcome
+                    err(toks[1], f"{stages} stages need {stages + 1} nodes; the maximum is {MAX_NODES}")
         elif head.text == "var":
             if len(toks) != 4:
                 err(head, "expected 'var <name> <kind> stage=<i>'")
@@ -265,9 +268,9 @@ def parse_model_file(text: str) -> ParsedModelFile:
     specs, strategies = _bind_strategies(diagram, strat_rows, strat_order, states, issues)
     loss = None
     if loss_vals is not None:
+        assert loss_tok is not None
         outcome = diagram.outcome_label
         if states is not None and len(loss_vals) != states[outcome]:
-            assert loss_tok is not None
             issues.append(
                 ParseIssue(
                     loss_tok.line,
@@ -276,7 +279,10 @@ def parse_model_file(text: str) -> ParsedModelFile:
                 )
             )
         else:
-            loss = LossFunction(values=np.asarray(loss_vals, dtype=float), outcome=outcome)
+            try:
+                loss = loss_function(loss_vals, outcome)
+            except ValueError as exc:
+                issues.append(ParseIssue(loss_tok.line, loss_tok.col, str(exc)))
     if issues:
         raise ModelFileError(issues)
     return ParsedModelFile(

@@ -78,13 +78,14 @@ def loss_function(values: Sequence[float], outcome: str) -> LossFunction:
 
 @dataclass(frozen=True)
 class ModelIssue:
-    code: str  # ShapeMismatch | RowNotNormalized | InertParentInfluence | MissingCpt | BadStateCount
+    # ShapeMismatch | BadProbability | RowNotNormalized | InertParentInfluence | MissingCpt | BadStateCount
+    code: str
     var: str
     message: str
 
 
 def validate_model(m: DiscreteModel, d: StagedDiagram) -> tuple[ModelIssue, ...]:
-    """Shape, normalisation, and inert-parent checks for every CPT."""
+    """Shape, entry-range, normalisation, and inert-parent checks for every CPT."""
     issues: list[ModelIssue] = []
     for v in d.vars:
         lab = v.label
@@ -105,6 +106,12 @@ def validate_model(m: DiscreteModel, d: StagedDiagram) -> tuple[ModelIssue, ...]
                     f"cpt shape {cpt.shape} does not match parent layout {want}",
                 )
             )
+            continue
+        bad = np.argwhere(~np.isfinite(cpt) | (cpt < 0.0))
+        if len(bad):
+            cell = tuple(int(c) for c in bad[0])
+            msg = f"entry {cell} is {float(cpt[cell])!r}, not a probability"
+            issues.append(ModelIssue("BadProbability", lab, msg))
             continue
         sums = cpt.sum(axis=-1)
         off = np.abs(sums - 1.0)

@@ -61,44 +61,36 @@ def _render(d: StagedDiagram, x: Iterable[str], y: Iterable[str], z: Iterable[st
     return left + (" | " + ", ".join(zs) if zs else "")
 
 
-def check_simple_stability(d: StagedDiagram) -> IdentificationReport:
-    """Per stage, the covariate block given the observed past is regime-invariant."""
+def _stability(d: StagedDiagram, with_hidden: bool) -> IdentificationReport:
+    """Per stage, the block given the past is regime-invariant; with_hidden
+    adds each stage's hidden variables to its block and to later pasts."""
     g = augment_with_regime(d)
     entries = []
     for i in range(1, d.n_stages + 2):
         block = d.covariate_block(i)
         past = d.actions_before(i) + d.covariates_before(i)
+        if with_hidden:
+            if i <= d.n_stages:
+                block = d.hidden_labels(i) + block
+            past += tuple(h for j in range(1, i) for h in d.hidden_labels(j))
         if not block:
-            entries.append(
-                CheckEntry(i, f"stage {i} has no covariates", True, None, "vacuous")
-            )
+            missing = "covariates or hidden variables" if with_hidden else "covariates"
+            entries.append(CheckEntry(i, f"stage {i} has no {missing}", True, None, "vacuous"))
             continue
         v = d_separated(g, block, (REGIME,), past)
         entries.append(CheckEntry(i, _render(d, block, (REGIME,), past), v.separated, v))
-    return IdentificationReport(check="simple-stability", entries=tuple(entries))
+    check = "extended-stability" if with_hidden else "simple-stability"
+    return IdentificationReport(check=check, entries=tuple(entries))
+
+
+def check_simple_stability(d: StagedDiagram) -> IdentificationReport:
+    """Per stage, the covariate block given the observed past is regime-invariant."""
+    return _stability(d, with_hidden=False)
 
 
 def check_extended_stability(d: StagedDiagram) -> IdentificationReport:
     """Simple stability once the hidden blocks are added to the conditioning chain."""
-    g = augment_with_regime(d)
-    entries = []
-    for i in range(1, d.n_stages + 2):
-        block = d.covariate_block(i)
-        if i <= d.n_stages:
-            block = d.hidden_labels(i) + block
-        past = (
-            d.actions_before(i)
-            + d.covariates_before(i)
-            + tuple(h for j in range(1, i) for h in d.hidden_labels(j))
-        )
-        if not block:
-            entries.append(
-                CheckEntry(i, f"stage {i} has no covariates or hidden variables", True, None, "vacuous")
-            )
-            continue
-        v = d_separated(g, block, (REGIME,), past)
-        entries.append(CheckEntry(i, _render(d, block, (REGIME,), past), v.separated, v))
-    return IdentificationReport(check="extended-stability", entries=tuple(entries))
+    return _stability(d, with_hidden=True)
 
 
 def check_general(d: StagedDiagram, spec: StrategyParentSpec) -> IdentificationReport:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -26,6 +27,15 @@ class TestValidate:
         )
         code, out, _ = run(capsys, "validate", str(p))
         assert code == 1 and "MultipleOutcomes" in out
+
+    def test_bad_probability_exit_one(self, capsys, tmp_path, models_dir):
+        text = (models_dir / "fig2b.sid").read_text().replace(
+            "cpt A2 | L2 : 0.35 0.65", "cpt A2 | L2 : nan 0.6"
+        )
+        p = tmp_path / "nan.sid"
+        p.write_text(text)
+        code, out, _ = run(capsys, "validate", str(p))
+        assert code == 1 and "BadProbability [A2]" in out
 
     def test_parse_error_exit_two(self, capsys, tmp_path):
         p = tmp_path / "broken.sid"
@@ -134,6 +144,13 @@ class TestEvaluate:
         )
         assert code == 1
 
+    def test_non_finite_loss_exit_two(self, capsys, models_dir, tmp_path):
+        p = tmp_path / "inf.sid"
+        p.write_text((models_dir / "fig2b.sid").read_text().replace("loss : 0 1", "loss : inf 1"))
+        code, out, err = run(capsys, "evaluate", str(p), "--strategy", "threshold")
+        assert code == 2 and out == ""
+        assert "line 49, col 1" in err and "finite" in err
+
     def test_graph_only_is_usage_error(self, capsys, models_dir):
         code, _, err = run(
             capsys, "evaluate", str(models_dir / "fig2a.sid"), "--strategy", "x"
@@ -223,6 +240,46 @@ class TestReport:
     def test_not_guaranteed_exit(self, capsys, models_dir):
         code, out, _ = run(capsys, "report", str(models_dir / "fig2a.sid"))
         assert code == 1 and "NotGuaranteed" in out
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig2b"])
+    def test_text_report_renders_check_all(self, capsys, models_dir, name):
+        f = str(models_dir / f"{name}.sid")
+        _, checked, _ = run(capsys, "check", "--all", f)
+        _, reported, _ = run(capsys, "report", f, "--format", "text")
+        assert "  note: " in checked
+        assert reported.startswith(checked)
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig2b"])
+    def test_each_check_runs_once(self, capsys, models_dir, monkeypatch, name):
+        import seqident.cli as cli
+        import seqident.stability as stability
+
+        checks = (
+            "check_simple_stability",
+            "check_extended_stability",
+            "check_general",
+            "check_pearl_robins",
+            "check_assumptions",
+        )
+        calls: Counter = Counter()
+
+        def counting(check, fn):
+            def wrapper(*args, **kwargs):
+                calls[check] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for check in checks:
+            wrapped = counting(check, getattr(stability, check))
+            monkeypatch.setattr(stability, check, wrapped)
+            if hasattr(cli, check):
+                monkeypatch.setattr(cli, check, wrapped)
+        f = str(models_dir / f"{name}.sid")
+        for argv in (["check", "--all", f], ["report", f]):
+            calls.clear()
+            run(capsys, *argv)
+            assert calls == Counter(checks), argv
 
 
 class TestUsage:

@@ -99,6 +99,26 @@ class TestParse:
             parse_model_file("var A1 action stage=1\n")
         assert any("stages" in i.message for i in exc.value.issues)
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_loss_is_positioned(self, value):
+        text = FULL.replace("loss : 0 1", f"loss : {value} 1")
+        with pytest.raises(ModelFileError) as exc:
+            parse_model_file(text)
+        (issue,) = exc.value.issues
+        assert (issue.line, issue.col) == (text.splitlines().index(f"loss : {value} 1") + 1, 1)
+        assert "finite" in issue.message
+
+    def test_stage_count_over_node_cap(self):
+        from seqident.graph import MAX_NODES
+
+        assert parse_model_file(GRAPH_ONLY.replace("stages 1", f"stages {MAX_NODES - 1}"))
+        text = GRAPH_ONLY.replace("stages 1", "stages 99999999")
+        with pytest.raises(ModelFileError) as exc:
+            parse_model_file(text)
+        (issue,) = exc.value.issues
+        assert (issue.line, issue.col) == (1, 8)
+        assert str(MAX_NODES) in issue.message
+
     def test_multiple_errors_collected(self):
         text = "stages 1\nvar A1 act stage=1\nvar A1 action stage=x\n"
         with pytest.raises(ModelFileError) as exc:

@@ -43,6 +43,13 @@ class TestValidateModel:
         assert any(i.code == "RowNotNormalized" and i.var == "L1" for i in issues)
         assert any("0.9" in i.message for i in issues)
 
+    @pytest.mark.parametrize("row", [[-0.5, 1.5], [np.nan, 0.6]])
+    def test_bad_probability(self, fig2b, fig2b_model, row):
+        fig2b_model.cpts["L1"] = np.array(row)
+        issues = validate_model(fig2b_model, fig2b)
+        assert [(i.code, i.var) for i in issues] == [("BadProbability", "L1")]
+        assert "(0,)" in issues[0].message
+
     def test_shape_mismatch(self, fig2b, fig2b_model):
         fig2b_model.cpts["L2"] = np.array([[0.5, 0.5], [0.5, 0.5]])
         issues = validate_model(fig2b_model, fig2b)
