@@ -43,7 +43,7 @@ from .evaluate import (
 )
 from .fuzz import theorem2_fuzz
 from .graph import d_separated
-from .modelfile import ModelFileError, ParsedModelFile, parse_model_file
+from .modelfile import ModelFileError, ParsedModelFile, ParseIssue, parse_model_file
 from .optimize import optimize_backward, optimize_bruteforce
 from .prob import check_positivity, ci_deviation, joint, regime_mixture_joint, validate_model
 from .stability import (
@@ -67,7 +67,15 @@ USAGE_ERRORS = (
 
 
 def _load(path: str) -> ParsedModelFile:
-    return parse_model_file(Path(path).read_text())
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = raw.rfind(b"\n", 0, exc.start) + 1
+        line = raw.count(b"\n", 0, exc.start) + 1
+        issue = ParseIssue(line, exc.start - line_start + 1, "not UTF-8 text")
+        raise ModelFileError([issue]) from None
+    return parse_model_file(text)
 
 
 def _resolve_spec(arg: str, d: StagedDiagram) -> StrategyParentSpec:

@@ -10,6 +10,7 @@ dynamic program.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -20,10 +21,12 @@ from .evaluate import (
     _first_true,
     _history_dict,
     _sum_block,
-    evaluate_g_recursion,
+    check_recursion_support,
 )
-from .prob import LossFunction
-from .strategy import Strategy, enumerate_deterministic, make_stochastic
+from .prob import LossFunction, _expand
+from .strategy import Strategy, StrategyEnumeration, enumerate_deterministic, make_stochastic
+
+_CHUNK_CELLS = 2**15  # cap on the cells of one strategy-batched table in brute force
 
 
 @dataclass(eq=False)
@@ -44,9 +47,10 @@ class OptimizationResult:
     unreached: dict[str, np.ndarray] | None = None
 
 
-def _require_full_positivity(oc: ObservationalConditionals) -> None:
-    # every action state must stay inside the observational support at every
-    # supported history, otherwise some candidate's value is undefined
+def _positivity_gap(oc: ObservationalConditionals) -> PositivityViolation | None:
+    """The first action state outside the observational support at a supported
+    history, or ``None`` under full positivity, where no strategy can step
+    outside the support and every candidate's value is defined."""
     for i in range(1, oc.n_stages + 1):
         m_next = oc.masks[i]  # over (past actions, covariates through i, action i)
         prefix = m_next.any(axis=-1)
@@ -54,7 +58,8 @@ def _require_full_positivity(oc: ObservationalConditionals) -> None:
         if bad.any():
             cfg = _first_true(bad)
             hist = oc.hist_vars[i - 1] + oc.block_vars[i - 1]
-            raise PositivityViolation(i, _history_dict(hist, cfg[:-1]), cfg[-1])
+            return PositivityViolation(i, _history_dict(hist, cfg[:-1]), cfg[-1])
+    return None
 
 
 def optimize_backward(
@@ -73,7 +78,9 @@ def optimize_backward(
     """
     if not is_full_history(d, spec):
         raise InvalidParentSpec("backward induction requires the full-history parent spec")
-    _require_full_positivity(oc)
+    gap = _positivity_gap(oc)
+    if gap is not None:
+        raise gap
     order = oc.observed_order
     shape = tuple(oc.states[v] for v in order)
     f = np.broadcast_to(k.values, shape).astype(float)
@@ -107,6 +114,38 @@ def optimize_backward(
     )
 
 
+def _candidate_values(
+    oc: ObservationalConditionals, stream: StrategyEnumeration, k: LossFunction
+) -> Iterator[tuple[int, np.ndarray]]:
+    """g-recursion values of every enumerated strategy, as ``(first index, values)`` chunks.
+
+    Runs the arithmetic of ``evaluate_g_recursion`` with a leading strategy
+    axis.  A deterministic kernel row is an indicator, so averaging over the
+    action is a gather of the chosen entry, and each value is bitwise equal
+    to evaluating that strategy on its own.  Support is not checked here.
+    """
+    n = oc.n_stages
+    loss = np.broadcast_to(k.values, tuple(oc.states[v] for v in oc.observed_order))
+    f_outcome = _sum_block(oc.tables[n], loss.astype(float), len(oc.block_vars[n]))
+    # axis of each strategy parent in (strategy, history and block, action) order
+    axes = [
+        [0] + [1 + (oc.hist_vars[i] + oc.block_vars[i]).index(p) for p in parents]
+        for i, parents in enumerate(stream._parent_orders)
+    ]
+    # the largest batched table is one stage's history-and-block table per strategy
+    chunk = max(1, _CHUNK_CELLS // max([t.size for t in oc.tables[:n]], default=1))
+    for lo in range(0, stream.count, chunk):
+        hi = min(lo + chunk, stream.count)
+        choices = stream._choices(np.arange(lo, hi))
+        f = f_outcome[None]
+        for i in range(n, 0, -1):
+            shape = (hi - lo,) + f.shape[1:]
+            chosen = _expand(choices[i - 1], axes[i - 1], len(shape), shape)
+            f = np.take_along_axis(f, chosen, axis=-1)[..., 0]
+            f = _sum_block(oc.tables[i - 1], f, len(oc.block_vars[i - 1]))
+        yield lo, f
+
+
 def optimize_bruteforce(
     oc: ObservationalConditionals,
     d: StagedDiagram,
@@ -114,16 +153,29 @@ def optimize_bruteforce(
     spec: StrategyParentSpec,
     cap: int = 10**6,
 ) -> OptimizationResult:
-    """Evaluate every deterministic strategy for the spec and keep the argmax set."""
+    """Evaluate every deterministic strategy for the spec and keep the argmax set.
+
+    The objective is maximised: the value of a strategy is the expected value
+    of the table named ``loss``, exactly as ``evaluate_g_recursion`` computes
+    it, and ``argmax`` lists every strategy attaining the largest value in
+    enumeration order.  Candidates are evaluated in chunks along a strategy
+    axis; ``Strategy`` objects are built only for the argmax set.
+    """
     stream = enumerate_deterministic(d, oc.states, spec, cap=cap)
-    best_value: float | None = None
-    argmax: list[Strategy] = []
-    for s in stream:
-        value = evaluate_g_recursion(oc, s, k).value
-        if best_value is None or value > best_value:
-            best_value = value
-            argmax = [s]
-        elif value == best_value:
-            argmax.append(s)
-    assert best_value is not None and argmax
-    return OptimizationResult(value=best_value, strategy=argmax[0], argmax=tuple(argmax))
+    if _positivity_gap(oc) is not None:
+        # some candidate may step outside the support: walk each in order so
+        # that the first to do so raises
+        for s in stream:
+            check_recursion_support(oc, s)
+    best: float | None = None
+    winners: list[np.ndarray] = []
+    for lo, values in _candidate_values(oc, stream, k):
+        top = values.max()
+        if best is None or top > best:
+            hits = np.flatnonzero(values == top)
+            best, winners = float(values[hits[0]]), [lo + hits]
+        elif top == best:
+            winners.append(lo + np.flatnonzero(values == top))
+    assert best is not None and winners
+    argmax = tuple(stream._build(np.concatenate(winners).tolist()))
+    return OptimizationResult(value=best, strategy=argmax[0], argmax=argmax)

@@ -60,6 +60,8 @@ class Strategy:
 
 
 def _check_rows(action: str, table: np.ndarray) -> None:
+    if not np.isfinite(table).all() or (table < 0.0).any():
+        raise ValueError(f"kernel entries for {action} must be finite and non-negative")
     sums = table.sum(axis=-1)
     if sums.size and np.abs(sums - 1.0).max() > KERNEL_TOL:
         raise ValueError(f"kernel rows for {action} are not normalised")
@@ -192,6 +194,9 @@ def strategies_equal(a: Strategy, b: Strategy) -> bool:
     )
 
 
+_ITER_CHUNK = 256  # strategies decoded at a time by ``StrategyEnumeration.__iter__``
+
+
 @dataclass(frozen=True)
 class StrategyEnumeration:
     """Sized lazy stream of all deterministic strategies for a parent spec."""
@@ -201,33 +206,43 @@ class StrategyEnumeration:
     _states: Mapping[str, int]
     _spec: StrategyParentSpec
 
+    @cached_property
+    def _parent_orders(self) -> tuple[tuple[str, ...], ...]:
+        d = self._d
+        return tuple(tuple(sorted(self._spec.of(a), key=d.position.__getitem__)) for a in d.actions)
+
+    def _choices(self, idx: Sequence[int]) -> tuple[np.ndarray, ...]:
+        """Decode strategy indices into chosen action states.
+
+        Returns one integer array per action, of shape ``(len(idx), *parent
+        shape)``.  Mixed-radix decode: the first action is the most
+        significant digit, and within an action the first history row is;
+        this yields lexicographic order over the concatenated kernel tables.
+        """
+        rem = np.array(idx, dtype=np.int64)
+        out = []
+        for a, parents in reversed(list(zip(self._d.actions, self._parent_orders))):
+            n = self._states[a]
+            pshape = tuple(self._states[p] for p in parents)
+            digits = np.empty((rem.size, math.prod(pshape)), dtype=np.int64)
+            for row in range(digits.shape[1] - 1, -1, -1):
+                digits[:, row] = rem % n
+                rem //= n
+            out.append(digits.reshape((rem.size,) + pshape))
+        return tuple(reversed(out))
+
+    def _build(self, idx: Sequence[int]) -> Iterator[Strategy]:
+        """The strategies at the given enumeration indices, named ``s{index}``."""
+        choices = self._choices(idx)
+        actions = self._d.actions
+        eyes = [np.eye(self._states[a]) for a in actions]
+        for j, i in enumerate(idx):
+            kernels = {a: np.take(eye, c[j], axis=0) for a, eye, c in zip(actions, eyes, choices)}
+            yield _make(self._d, self._spec, kernels, f"s{i}")
+
     def __iter__(self) -> Iterator[Strategy]:
-        d, states, spec = self._d, self._states, self._spec
-        layouts = []  # (action, parent shape, action states, config count)
-        for a in d.actions:
-            parents = tuple(sorted(spec.of(a), key=d.position.__getitem__))
-            pshape = tuple(states[p] for p in parents)
-            layouts.append((a, pshape, states[a], math.prod(pshape)))
-        for idx in range(self.count):
-            # mixed-radix decode: first action is the most significant digit,
-            # and within an action the first history row is; this yields
-            # lexicographic order over the concatenated kernel tables
-            rem = idx
-            digits = []
-            for _, _, n, n_cfg in reversed(layouts):
-                space = n**n_cfg
-                digits.append(rem % space)
-                rem //= space
-            digits.reverse()
-            kernels = {}
-            for (a, pshape, n, n_cfg), code in zip(layouts, digits):
-                table = np.zeros(pshape + (n,))
-                flat = table.reshape(n_cfg, n)
-                for row in range(n_cfg - 1, -1, -1):
-                    flat[row, code % n] = 1.0
-                    code //= n
-                kernels[a] = table
-            yield _make(d, spec, kernels, f"s{idx}")
+        for start in range(0, self.count, _ITER_CHUNK):
+            yield from self._build(range(start, min(start + _ITER_CHUNK, self.count)))
 
 
 def enumerate_deterministic(

@@ -10,7 +10,16 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from seqident import Dag, DiscreteModel, StagedDiagram, Strategy, kernel
+from seqident import (
+    Dag,
+    DiscreteModel,
+    OptimizationResult,
+    StagedDiagram,
+    Strategy,
+    enumerate_deterministic,
+    evaluate_g_recursion,
+    kernel,
+)
 
 
 def path_d_separated(g: Dag, x: set[str], y: set[str], z: set[str]) -> bool:
@@ -153,3 +162,23 @@ def brute_g_recursion(d: StagedDiagram, m: DiscreteModel, strategy: Strategy, k_
         return total
 
     return over_block(1, {})
+
+
+def bruteforce_reference(oc, d, k, spec, cap=10**6) -> tuple[OptimizationResult, list[float]]:
+    """Brute force one candidate at a time: each enumerated strategy is a
+    validated ``Strategy`` evaluated by its own g-recursion, support walk
+    included.  Returns the result and every candidate's value in order."""
+    values: list[float] = []
+    best_value: float | None = None
+    argmax: list[Strategy] = []
+    for s in enumerate_deterministic(d, oc.states, spec, cap=cap):
+        value = evaluate_g_recursion(oc, s, k).value
+        values.append(value)
+        if best_value is None or value > best_value:
+            best_value = value
+            argmax = [s]
+        elif value == best_value:
+            argmax.append(s)
+    assert best_value is not None and argmax
+    result = OptimizationResult(value=best_value, strategy=argmax[0], argmax=tuple(argmax))
+    return result, values

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import io
 import json
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqident.cli import main
+
+from .conftest import MODELS_DIR
 
 
 def run(capsys, *argv: str):
@@ -150,6 +158,19 @@ class TestEvaluate:
         code, out, err = run(capsys, "evaluate", str(p), "--strategy", "threshold")
         assert code == 2 and out == ""
         assert "line 49, col 1" in err and "finite" in err
+
+    @pytest.mark.parametrize("row", ["nan 1", "-0.5 1.5"])
+    @pytest.mark.parametrize("command", [("validate",), ("evaluate", "--strategy", "both-high")])
+    def test_bad_strategy_entries_exit_two(self, capsys, models_dir, tmp_path, row, command):
+        p = tmp_path / "bad.sid"
+        p.write_text(
+            (models_dir / "fig2b.sid").read_text().replace(
+                "strategy both-high A1 | - : 0 1", f"strategy both-high A1 | - : {row}"
+            )
+        )
+        code, out, err = run(capsys, command[0], str(p), *command[1:])
+        assert code == 2 and out == ""
+        assert "line 46, col 1" in err and "finite and non-negative" in err
 
     def test_graph_only_is_usage_error(self, capsys, models_dir):
         code, _, err = run(
@@ -302,3 +323,41 @@ class TestUsage:
         monkeypatch.setattr(cli, "decide_identifiability", explode)
         code, _, err = run(capsys, "check", "--all", str(models_dir / "fig2b.sid"))
         assert code == 3 and "internal invariant" in err
+
+
+_FIG2B_LINES = (MODELS_DIR / "fig2b.sid").read_text().splitlines()
+_WORDS = st.sampled_from(
+    [
+        "stages", "var", "edge", "cpt", "strategy", "loss", "|", ":", "->", "-", "#",
+        "L1", "A1", "L2", "A2", "Y", "U1", "threshold", "action", "covariate", "hidden",
+        "outcome", "stage=1", "stage=2", "stage=3", "stage=0", "0", "1", "2", "0.5", "-0.5",
+        "1e308", "nan", "inf", "99999999",
+    ]
+)
+
+
+@st.composite
+def _mutated_fig2b(draw):
+    # grammar words spliced into the shipped file reach far past the tokenizer
+    lines = list(_FIG2B_LINES)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines)))
+        new = " ".join(draw(st.lists(_WORDS, max_size=8)))
+        if i < len(lines) and draw(st.booleans()):
+            lines[i] = new
+        else:
+            lines.insert(i, new)
+    return "\n".join(lines).encode()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(st.binary(), st.text().map(str.encode), _mutated_fig2b()))
+def test_validate_any_input_exits_cleanly(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.sid"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["validate", str(path)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

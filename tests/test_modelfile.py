@@ -2,9 +2,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqident import validate_model
-from seqident.modelfile import ModelFileError, parse_model_file, serialize_model_file
+from seqident import (
+    DiscreteModel,
+    loss_function,
+    make_stochastic,
+    parent_spec,
+    staged_diagram,
+    validate_model,
+)
+from seqident.modelfile import (
+    ModelFileError,
+    ParsedModelFile,
+    parse_model_file,
+    serialize_model_file,
+)
 
 GRAPH_ONLY = """\
 stages 1
@@ -107,6 +121,16 @@ class TestParse:
         (issue,) = exc.value.issues
         assert (issue.line, issue.col) == (text.splitlines().index(f"loss : {value} 1") + 1, 1)
         assert "finite" in issue.message
+
+    @pytest.mark.parametrize("row", ["nan 1", "-0.5 1.5"])
+    def test_bad_strategy_entries_are_positioned(self, row):
+        text = FULL.replace("strategy go A1 | L1 : 1 0", f"strategy go A1 | L1 : {row}")
+        with pytest.raises(ModelFileError) as exc:
+            parse_model_file(text)
+        (issue,) = exc.value.issues
+        line = text.splitlines().index(f"strategy go A1 | L1 : {row}") + 1
+        assert (issue.line, issue.col) == (line, 1)
+        assert "finite and non-negative" in issue.message
 
     def test_stage_count_over_node_cap(self):
         from seqident.graph import MAX_NODES
@@ -239,3 +263,67 @@ class TestFixtureFilesMatchCode:
         assert pf.diagram == d
         for v in d.labels:
             assert np.array_equal(pf.model.cpts[v], m.cpts[v])
+
+
+@st.composite
+def _parsed_files(draw):
+    n = draw(st.integers(1, 3))
+    variables = []
+    for i in range(1, n + 1):
+        if draw(st.booleans()):
+            variables.append((f"U{i}", "hidden", i))
+        variables.extend((f"L{i}_{j}", "covariate", i) for j in range(draw(st.integers(0, 2))))
+        variables.append((f"A{i}", "action", i))
+    variables.append(("Y", "outcome", n + 1))
+    labels = [v[0] for v in variables]
+
+    def subset(pool):
+        return draw(st.lists(st.sampled_from(pool), max_size=2, unique=True)) if pool else []
+
+    edges = [(p, child) for j, child in enumerate(labels) for p in subset(labels[:j])]
+    d = staged_diagram(n, variables, edges)
+    states = {v: draw(st.integers(2, 3)) for v in labels}
+
+    def rows(shape):
+        size = int(np.prod(shape))
+        arr = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+        arr = arr.reshape(shape)
+        arr[arr.sum(axis=-1) == 0.0] = 1.0
+        return arr / arr.sum(axis=-1, keepdims=True)
+
+    cpts = {v: rows(tuple(states[p] for p in d.parents[v]) + (states[v],)) for v in labels}
+    mapping = {
+        a: subset(d.actions_before(i) + d.covariates_through(i))
+        for i, a in enumerate(d.actions, start=1)
+    }
+    spec = parent_spec(d, mapping)
+    kernels = {}
+    for a in d.actions:
+        parents = sorted(spec.of(a), key=d.position.__getitem__)
+        kernels[a] = rows(tuple(states[p] for p in parents) + (states[a],))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    loss = draw(st.lists(finite, min_size=states["Y"], max_size=states["Y"]))
+    return ParsedModelFile(
+        diagram=d,
+        model=DiscreteModel(states=states, cpts=cpts),
+        strategies=(make_stochastic(d, states, spec, kernels, "s0"),),
+        loss=loss_function(loss, "Y"),
+        strategy_specs={"s0": spec},
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_parsed_files())
+def test_generated_files_round_trip(pf):
+    text = serialize_model_file(pf)
+    back = parse_model_file(text)
+    assert back.diagram == pf.diagram
+    assert back.model.states == pf.model.states
+    for v in pf.diagram.labels:
+        assert np.array_equal(back.model.cpts[v], pf.model.cpts[v]), v
+    (s,), (t,) = back.strategies, pf.strategies
+    assert s.name == t.name and s.parent_orders == t.parent_orders
+    assert all(np.array_equal(a, b) for a, b in zip(s.tables, t.tables, strict=True))
+    assert back.strategy_specs == pf.strategy_specs
+    assert np.array_equal(back.loss.values, pf.loss.values)
+    assert serialize_model_file(back) == text

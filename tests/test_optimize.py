@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,16 @@ from seqident import (
     strategies_equal,
     unconditional_spec,
 )
-from seqident.errors import InvalidParentSpec, PositivityViolation
-from seqident.fuzz import random_model, random_staged_diagram
+from seqident.errors import (
+    EnumerationTooLarge,
+    InvalidParentSpec,
+    PositivityViolation,
+    SeqidentError,
+)
+from seqident.fuzz import random_model, random_parent_spec, random_staged_diagram
+from seqident.optimize import _candidate_values
+
+from .oracles import bruteforce_reference
 
 
 def _one_step():
@@ -195,3 +205,160 @@ def test_more_information_never_hurts():
         bf = optimize_bruteforce(oc, dn, k, sub)
         assert bf.value <= dp.value + 1e-12
         done += 1
+
+
+def _block_diagram(rng, n_stages):
+    # up to three covariates per stage, so covariate blocks span several variables
+    variables = []
+    for i in range(1, n_stages + 1):
+        if rng.random() < 0.3:
+            variables.append((f"U{i}", "hidden", i))
+        variables.extend((f"L{i}_{j}", "covariate", i) for j in range(int(rng.integers(0, 4))))
+        variables.append((f"A{i}", "action", i))
+    variables.append(("Y", "outcome", n_stages + 1))
+    labels = [v[0] for v in variables]
+    edges = [
+        (labels[a], labels[b])
+        for a in range(len(labels))
+        for b in range(a + 1, len(labels))
+        if rng.random() < 0.5
+    ]
+    return staged_diagram(n_stages, variables, edges)
+
+
+def _zero_column(m, action, state):
+    t = m.cpts[action].copy()
+    t[..., state] = 0.0
+    cpts = dict(m.cpts, **{action: t / t.sum(axis=-1, keepdims=True)})
+    return DiscreteModel(states=dict(m.states), cpts=cpts)
+
+
+def _assert_matches_reference(oc, d, k, spec):
+    ref, values = bruteforce_reference(oc, d, k, spec)
+    stream = enumerate_deterministic(d, oc.states, spec)
+    batched = np.concatenate([v for _, v in _candidate_values(oc, stream, k)])
+    assert batched.tobytes() == np.array(values).tobytes()  # no tolerance
+    bf = optimize_bruteforce(oc, d, k, spec)
+    assert repr(bf.value) == repr(ref.value)
+    assert [s.name for s in bf.argmax] == [s.name for s in ref.argmax]
+    assert all(strategies_equal(a, b) for a, b in zip(bf.argmax, ref.argmax, strict=True))
+    assert bf.strategy is bf.argmax[0]
+
+
+def _assert_same_error(oc, d, k, spec):
+    with pytest.raises(SeqidentError) as want:
+        bruteforce_reference(oc, d, k, spec)
+    with pytest.raises(type(want.value)) as got:
+        optimize_bruteforce(oc, d, k, spec)
+    assert str(got.value) == str(want.value)
+
+
+class TestBatchedBruteForce:
+    """The chunked search against the one-strategy-at-a-time reference."""
+
+    @pytest.mark.parametrize(
+        "spec, cells",
+        [
+            ("full", None),
+            ("full", 40),
+            ("none", 1),
+            ("A2:L2", 1),
+            ("A2:A1,L2", None),
+            ("A2:A1,L2", 1),
+        ],
+    )
+    @pytest.mark.parametrize("loss", [(0.25, -1.5), (1.5, 1.5)])
+    def test_fig2b_matches_reference(self, fig2b, fig2b_model, monkeypatch, spec, loss, cells):
+        # small cell budgets split the search into many chunks, down to one
+        # strategy each; the constant loss makes near-ties across chunks
+        import seqident.optimize
+
+        if cells is not None:
+            monkeypatch.setattr(seqident.optimize, "_CHUNK_CELLS", cells)
+        oc = observational_conditionals(fig2b_model, fig2b)
+        _assert_matches_reference(oc, fig2b, loss_function(list(loss), "Y"), _spec(fig2b, spec))
+
+    @pytest.mark.parametrize("spec", ["full", "none"])
+    def test_dominance_matches_reference(self, dominance, unit_loss, spec):
+        d, m = dominance
+        _assert_matches_reference(observational_conditionals(m, d), d, unit_loss, _spec(d, spec))
+
+    def test_random_block_diagrams_match_reference(self):
+        rng = np.random.default_rng(303)
+        done = 0
+        while done < 36:
+            d = _block_diagram(rng, int(rng.integers(2, 4)))
+            m = random_model(rng, d, state_choices=((2,), (3,), (2, 3))[done % 3])
+            spec = random_parent_spec(rng, d, p_keep=0.3)
+            if not _small(d, m, spec):
+                continue
+            k = loss_function(rng.uniform(-1, 1, m.states["Y"]), "Y")
+            _assert_matches_reference(observational_conditionals(m, d), d, k, spec)
+            done += 1
+
+    @pytest.mark.parametrize("action, state", [("A1", 0), ("A1", 1), ("A2", 0), ("A2", 1)])
+    @pytest.mark.parametrize("spec", ["full", "none", "A2:L2"])
+    def test_fig2b_zeroed_column_raises_like_reference(
+        self, fig2b, fig2b_model, unit_loss, action, state, spec
+    ):
+        oc = observational_conditionals(_zero_column(fig2b_model, action, state), fig2b)
+        _assert_same_error(oc, fig2b, unit_loss, _spec(fig2b, spec))
+
+    def test_random_zeroed_columns_raise_like_reference(self):
+        rng = np.random.default_rng(304)
+        done = 0
+        while done < 30:
+            d = _block_diagram(rng, int(rng.integers(2, 4)))
+            m = random_model(rng, d, state_choices=(2, 3))
+            spec = random_parent_spec(rng, d, p_keep=0.3)
+            if not _small(d, m, spec):
+                continue
+            a = d.actions[int(rng.integers(len(d.actions)))]
+            m = _zero_column(m, a, int(rng.integers(m.states[a])))
+            k = loss_function(rng.uniform(-1, 1, m.states["Y"]), "Y")
+            _assert_same_error(observational_conditionals(m, d), d, k, spec)
+            done += 1
+
+    def test_no_per_candidate_recursion_or_strategy(self, fig2b, fig2b_model, monkeypatch):
+        import seqident.evaluate
+        import seqident.optimize
+        import seqident.strategy
+
+        calls = Counter()
+
+        def counted(module, name):
+            orig = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(seqident.evaluate, "evaluate_g_recursion")
+        counted(seqident.evaluate, "check_recursion_support")
+        counted(seqident.optimize, "check_recursion_support")
+        counted(seqident.strategy, "_make")
+        oc = observational_conditionals(fig2b_model, fig2b)
+        full = full_history_spec(fig2b)
+        bf = optimize_bruteforce(oc, fig2b, loss_function([0.0, 1.0], "Y"), full)
+        assert enumerate_deterministic(fig2b, oc.states, full).count == 1024
+        assert calls["evaluate_g_recursion"] == calls["check_recursion_support"] == 0
+        assert 1 <= calls["_make"] <= len(bf.argmax)
+
+
+def _small(d, m, spec):
+    try:
+        enumerate_deterministic(d, m.states, spec, cap=300)
+    except EnumerationTooLarge:
+        return False
+    return True
+
+
+def _spec(d, text):
+    if text == "full":
+        return full_history_spec(d)
+    if text == "none":
+        return unconditional_spec(d)
+    action, parents = text.split(":")
+    return parent_spec(d, {action: parents.split(",")})

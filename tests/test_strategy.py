@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,18 @@ class TestConstructors:
                 {"A1": np.array([0.5, 0.4]), "A2": np.array([0.5, 0.5])},
             )
 
+    @pytest.mark.parametrize("row", [[np.nan, 1.0], [np.inf, 1.0], [-0.5, 1.5]])
+    def test_bad_entries_rejected(self, fig2b, fig2b_model, row):
+        # a NaN row sum used to pass the normalisation test, and a negative
+        # entry can sum to one
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            make_stochastic(
+                fig2b,
+                fig2b_model.states,
+                unconditional_spec(fig2b),
+                {"A1": np.array(row), "A2": np.array([0.5, 0.5])},
+            )
+
 
 class TestKernelLookup:
     def test_unconditional_same_row_everywhere(self, fig2a, bite_model):
@@ -131,6 +145,17 @@ class TestEnumeration:
         enum = enumerate_deterministic(fig2b, fig2b_model.states, full_history_spec(fig2b))
         assert enum.count == 2**2 * 2**8 == 1024
         assert sum(1 for _ in enum) == 1024
+
+    def test_lexicographic_order_and_names(self, fig2b):
+        # mixed radix: A1 has three states and two rows, A2 two states and two rows
+        states = {"L1": 2, "A1": 3, "L2": 2, "A2": 2, "Y": 2}
+        spec = parent_spec(fig2b, {"A1": ["L1"], "A2": ["L2"]})
+        got = [
+            (s.name, tuple(int(c) for t in s.tables for c in np.argmax(t, axis=-1).ravel()))
+            for s in enumerate_deterministic(fig2b, states, spec)
+        ]
+        rows = itertools.product(range(3), range(3), range(2), range(2))
+        assert got == [(f"s{i}", r) for i, r in enumerate(rows)]
 
     def test_cap(self, fig2b, fig2b_model):
         with pytest.raises(EnumerationTooLarge) as exc:
