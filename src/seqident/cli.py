@@ -23,6 +23,7 @@ from .diagram import (
     augment_with_regime,
     full_history_spec,
     is_full_history,
+    parent_spec,
     unconditional_spec,
     validate_diagram,
 )
@@ -87,7 +88,7 @@ def _resolve_spec(arg: str, d: StagedDiagram) -> StrategyParentSpec:
     if not other.strategy_specs:
         raise InvalidParentSpec(f"spec file {arg!r} declares no strategy")
     first = next(iter(other.strategy_specs))
-    return other.strategy_specs[first]
+    return parent_spec(d, dict(other.strategy_specs[first].parents))
 
 
 def _witness_text(witness) -> str:
@@ -213,7 +214,9 @@ def _dsep_numeric(args, pf, x, y, z, uses_regime, separated) -> int | None:
         jt = joint(pf.model, pf.diagram)
     gap = ci_deviation(jt, x, y, z)
     if separated:
-        print(f"numeric: independent (gap {gap:.3e} <= tol {args.tol:.1e})")
+        within = gap <= args.tol
+        verdict = "independent" if within else "dependence above --tol"
+        print(f"numeric: {verdict} (gap {gap:.3e} {'<=' if within else '>'} tol {args.tol:.1e})")
     else:
         felt = "felt" if gap > args.dep_tol else "below --dep-tol"
         print(f"numeric: dependence gap {gap:.3e} ({felt} at {args.dep_tol:.1e})")
@@ -496,7 +499,7 @@ def main(argv=None) -> int:
     except USAGE_ERRORS as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except SeqidentError as exc:

@@ -13,6 +13,7 @@ re-brackets the oracle computation through the covariate marginal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -50,7 +51,6 @@ class ObservationalConditionals:
 class EvaluationResult:
     value: float
     method: str
-    f_tables: tuple[np.ndarray, ...] | None = None
 
 
 def observational_conditionals(m: DiscreteModel, d: StagedDiagram) -> ObservationalConditionals:
@@ -88,17 +88,43 @@ def observational_conditionals(m: DiscreteModel, d: StagedDiagram) -> Observatio
     )
 
 
-def _expand_kernel(oc: ObservationalConditionals, s: Strategy, i: int) -> np.ndarray:
-    """Broadcast stage i's strategy kernel over its full history axes plus the action axis."""
-    a = oc.action_labels[i - 1]
+def _expand_kernel(
+    oc: ObservationalConditionals, i: int, table: np.ndarray, parents: tuple[str, ...]
+) -> np.ndarray:
+    """Broadcast a table shaped like stage i's kernel (leading axes, one per strategy
+    parent, the action last) over the leading axes, stage i's history and block, the action."""
     hist = oc.hist_vars[i - 1] + oc.block_vars[i - 1]
-    axes = [hist.index(p) for p in s.parents_of(a)] + [len(hist)]
-    shape = [oc.states[v] for v in hist + (a,)]
-    return _expand(s.kernel_table(a), axes, len(shape), shape)
+    lead = table.ndim - len(parents) - 1
+    axes = [*range(lead), *(lead + hist.index(p) for p in parents), lead + len(hist)]
+    shape = table.shape[:lead] + tuple(oc.states[v] for v in hist) + table.shape[-1:]
+    return _expand(table, axes, len(shape), shape)
+
+
+def _strategy_kernel(oc: ObservationalConditionals, s: Strategy, i: int) -> np.ndarray:
+    a = oc.action_labels[i - 1]
+    return _expand_kernel(oc, i, s.kernel_table(a), s.parents_of(a))
 
 
 def _sum_block(weights: np.ndarray, f: np.ndarray, nblock: int) -> np.ndarray:
     return np.sum(weights * f, axis=tuple(range(-nblock, 0))) if nblock else weights * f
+
+
+def _loss_table(oc: ObservationalConditionals, k: LossFunction) -> np.ndarray:
+    """The loss broadcast over every observed history, as a fresh float table."""
+    return np.broadcast_to(k.values, tuple(oc.states[v] for v in oc.observed_order)).astype(float)
+
+
+def _backward(
+    oc: ObservationalConditionals, f: np.ndarray, act: Callable[[int, np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """The stage recursion from the outcome back to the empty history: per stage,
+    average out the covariate block under the observational law, then reduce the
+    stage's action axis (last) with ``act(stage, f)``.  Leading axes of f are kept."""
+    for i in range(oc.n_stages + 1, 0, -1):
+        f = _sum_block(oc.tables[i - 1], f, len(oc.block_vars[i - 1]))
+        if i > 1:
+            f = act(i - 1, f)
+    return f
 
 
 def _first_true(mask: np.ndarray) -> tuple[int, ...]:
@@ -106,35 +132,34 @@ def _first_true(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(int(c) for c in np.unravel_index(flat, mask.shape))
 
 
-def _history_dict(vars_: tuple[str, ...], cfg: tuple[int, ...]) -> dict[str, int]:
-    return {v: c for v, c in zip(vars_, cfg)}
+def _support_walk(
+    oc: ObservationalConditionals, kernel: Callable[[int], np.ndarray], lead: tuple[int, ...] = ()
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Walk strategy weight forward through the conditionals.  Per stage i, yields
+    ``(i, masked, unsupported)``: the reached cells of unsupported histories, then of
+    unsupported (history, action) pairs.  ``kernel(i)`` has the leading axes ``lead``."""
+    w = np.ones(lead)
+    for i in range(1, oc.n_stages + 1):
+        masked = (w > 0.0) & ~oc.masks[i - 1]
+        w = w.reshape(w.shape + (1,) * len(oc.block_vars[i - 1])) * oc.tables[i - 1]
+        w = w[..., None] * kernel(i)
+        yield i, masked, (w > 0.0) & ~oc.masks[i]
 
 
 def check_recursion_support(oc: ObservationalConditionals, s: Strategy) -> None:
     """Walk the strategy forward through the conditionals and fail fast where
     it steps outside the observational support."""
-    w = np.ones(())
-    for i in range(1, oc.n_stages + 1):
-        mask = oc.masks[i - 1]
-        bad = (w > 0.0) & ~mask
-        if bad.any():
-            cfg = _first_true(bad)
-            raise MaskedHistoryReachable(i, _history_dict(oc.hist_vars[i - 1], cfg))
-        nb = len(oc.block_vars[i - 1])
-        w = w.reshape(w.shape + (1,) * nb) * oc.tables[i - 1]
-        hist = oc.hist_vars[i - 1] + oc.block_vars[i - 1]
-        w = w[..., None] * _expand_kernel(oc, s, i)
-        bad = (w > 0.0) & ~oc.masks[i]
-        if bad.any():
-            cfg = _first_true(bad)
-            raise PositivityViolation(i, _history_dict(hist, cfg[:-1]), cfg[-1])
+    for i, masked, unsupported in _support_walk(oc, lambda i: _strategy_kernel(oc, s, i)):
+        if masked.any():
+            raise MaskedHistoryReachable(i, dict(zip(oc.hist_vars[i - 1], _first_true(masked))))
+        if unsupported.any():
+            cfg = _first_true(unsupported)
+            hist = oc.hist_vars[i - 1] + oc.block_vars[i - 1]
+            raise PositivityViolation(i, dict(zip(hist, cfg[:-1])), cfg[-1])
 
 
 def evaluate_g_recursion(
-    oc: ObservationalConditionals,
-    s: Strategy,
-    k: LossFunction,
-    retain_tables: bool = False,
+    oc: ObservationalConditionals, s: Strategy, k: LossFunction
 ) -> EvaluationResult:
     """Backward recursion over the observational conditionals and the strategy.
 
@@ -143,24 +168,10 @@ def evaluate_g_recursion(
     and the stage's action (strategy kernel) down to the empty history.
     """
     check_recursion_support(oc, s)
-    order = oc.observed_order
-    shape = tuple(oc.states[v] for v in order)
-    f = np.broadcast_to(k.values, shape).astype(float)
-    retained = [f.copy()] if retain_tables else None
-    for i in range(oc.n_stages + 1, 0, -1):
-        nb = len(oc.block_vars[i - 1])
-        f = _sum_block(oc.tables[i - 1], f, nb)
-        if retained is not None:
-            retained.append(f.copy())
-        if i > 1:
-            f = np.sum(_expand_kernel(oc, s, i - 1) * f, axis=-1)
-            if retained is not None:
-                retained.append(f.copy())
-    return EvaluationResult(
-        value=float(f),
-        method="grecursion",
-        f_tables=tuple(retained) if retained is not None else None,
+    f = _backward(
+        oc, _loss_table(oc, k), lambda i, f: np.sum(_strategy_kernel(oc, s, i) * f, axis=-1)
     )
+    return EvaluationResult(value=float(f), method="grecursion")
 
 
 def evaluate_oracle(

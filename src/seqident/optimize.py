@@ -18,12 +18,14 @@ from .diagram import StagedDiagram, StrategyParentSpec, is_full_history
 from .errors import InvalidParentSpec, PositivityViolation
 from .evaluate import (
     ObservationalConditionals,
+    _backward,
+    _expand_kernel,
     _first_true,
-    _history_dict,
-    _sum_block,
+    _loss_table,
+    _support_walk,
     check_recursion_support,
 )
-from .prob import LossFunction, _expand
+from .prob import LossFunction
 from .strategy import Strategy, StrategyEnumeration, enumerate_deterministic, make_stochastic
 
 _CHUNK_CELLS = 2**15  # cap on the cells of one strategy-batched table in brute force
@@ -58,7 +60,7 @@ def _positivity_gap(oc: ObservationalConditionals) -> PositivityViolation | None
         if bad.any():
             cfg = _first_true(bad)
             hist = oc.hist_vars[i - 1] + oc.block_vars[i - 1]
-            return PositivityViolation(i, _history_dict(hist, cfg[:-1]), cfg[-1])
+            return PositivityViolation(i, dict(zip(hist, cfg[:-1])), cfg[-1])
     return None
 
 
@@ -81,33 +83,23 @@ def optimize_backward(
     gap = _positivity_gap(oc)
     if gap is not None:
         raise gap
-    order = oc.observed_order
-    shape = tuple(oc.states[v] for v in order)
-    f = np.broadcast_to(k.values, shape).astype(float)
     choices: dict[str, np.ndarray] = {}
     choice_values: dict[str, np.ndarray] = {}
     unreached: dict[str, np.ndarray] = {}
-    for i in range(oc.n_stages + 1, 0, -1):
-        nb = len(oc.block_vars[i - 1])
-        f = _sum_block(oc.tables[i - 1], f, nb)
-        if i > 1:
-            a = oc.action_labels[i - 2]
-            # ties: np.argmax returns the first maximiser, i.e. the smallest state
-            choice = np.argmax(f, axis=-1)
-            f = np.max(f, axis=-1)
-            choices[a] = choice
-            choice_values[a] = f.copy()
-            unreached[a] = ~oc.masks[i - 1].any(axis=-1)
-    value = float(f)
-    kernels = {}
-    for a in d.actions:
-        table = np.zeros(choices[a].shape + (oc.states[a],))
-        np.put_along_axis(table, choices[a][..., None], 1.0, axis=-1)
-        kernels[a] = table
-    strategy = make_stochastic(d, oc.states, spec, kernels, name="backward-opt")
+
+    def act(i: int, f: np.ndarray) -> np.ndarray:
+        a = oc.action_labels[i - 1]
+        # ties: np.argmax returns the first maximiser, i.e. the smallest state
+        choices[a] = np.argmax(f, axis=-1)
+        choice_values[a] = f = np.max(f, axis=-1)
+        unreached[a] = ~oc.masks[i].any(axis=-1)
+        return f
+
+    value = float(_backward(oc, _loss_table(oc, k), act))
+    kernels = {a: np.eye(oc.states[a])[choices[a]] for a in d.actions}
     return OptimizationResult(
         value=value,
-        strategy=strategy,
+        strategy=make_stochastic(d, oc.states, spec, kernels, name="backward-opt"),
         choices=choices,
         choice_values=choice_values,
         unreached=unreached,
@@ -119,31 +111,33 @@ def _candidate_values(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """g-recursion values of every enumerated strategy, as ``(first index, values)`` chunks.
 
-    Runs the arithmetic of ``evaluate_g_recursion`` with a leading strategy
-    axis.  A deterministic kernel row is an indicator, so averaging over the
-    action is a gather of the chosen entry, and each value is bitwise equal
-    to evaluating that strategy on its own.  Support is not checked here.
+    The recursion of ``evaluate_g_recursion`` on a leading strategy axis.  An
+    indicator kernel row makes the action average a gather of the chosen entry,
+    bitwise equal to evaluating each strategy on its own.  Without full
+    positivity each chunk first takes the support walk with indicator kernels
+    (1.0 or 0.0 entries, so each strategy's flags are those of its own walk),
+    and the first flagged strategy is rebuilt to raise.
     """
-    n = oc.n_stages
-    loss = np.broadcast_to(k.values, tuple(oc.states[v] for v in oc.observed_order))
-    f_outcome = _sum_block(oc.tables[n], loss.astype(float), len(oc.block_vars[n]))
-    # axis of each strategy parent in (strategy, history and block, action) order
-    axes = [
-        [0] + [1 + (oc.hist_vars[i] + oc.block_vars[i]).index(p) for p in parents]
-        for i, parents in enumerate(stream._parent_orders)
-    ]
-    # the largest batched table is one stage's history-and-block table per strategy
-    chunk = max(1, _CHUNK_CELLS // max([t.size for t in oc.tables[:n]], default=1))
+    loss = _loss_table(oc, k)[None]
+    orders = stream._parent_orders
+    eyes = None if _positivity_gap(oc) is None else [np.eye(oc.states[a]) for a in oc.action_labels]
+    # largest batched table: a stage's history and block (times its action in the walk) per strategy
+    chunk = max(1, _CHUNK_CELLS // max([t.size for t in oc.tables[: oc.n_stages]], default=1))
     for lo in range(0, stream.count, chunk):
-        hi = min(lo + chunk, stream.count)
-        choices = stream._choices(np.arange(lo, hi))
-        f = f_outcome[None]
-        for i in range(n, 0, -1):
-            shape = (hi - lo,) + f.shape[1:]
-            chosen = _expand(choices[i - 1], axes[i - 1], len(shape), shape)
-            f = np.take_along_axis(f, chosen, axis=-1)[..., 0]
-            f = _sum_block(oc.tables[i - 1], f, len(oc.block_vars[i - 1]))
-        yield lo, f
+        choices = stream._choices(np.arange(lo, min(lo + chunk, stream.count)))
+        if eyes is not None:
+            n = len(choices[0])
+            kernel = lambda i: _expand_kernel(oc, i, eyes[i - 1][choices[i - 1]], orders[i - 1])
+            cells = [c for _, *both in _support_walk(oc, kernel, (n,)) for c in both]
+            flagged = np.flatnonzero(np.any([c.reshape(n, -1).any(axis=1) for c in cells], axis=0))
+            if flagged.size:
+                check_recursion_support(oc, next(stream._build([lo + int(flagged[0])])))
+
+        def gather(i: int, f: np.ndarray) -> np.ndarray:
+            chosen = _expand_kernel(oc, i, choices[i - 1][..., None], orders[i - 1])
+            return np.take_along_axis(f, chosen, axis=-1)[..., 0]
+
+        yield lo, _backward(oc, loss, gather)
 
 
 def optimize_bruteforce(
@@ -162,11 +156,6 @@ def optimize_bruteforce(
     axis; ``Strategy`` objects are built only for the argmax set.
     """
     stream = enumerate_deterministic(d, oc.states, spec, cap=cap)
-    if _positivity_gap(oc) is not None:
-        # some candidate may step outside the support: walk each in order so
-        # that the first to do so raises
-        for s in stream:
-            check_recursion_support(oc, s)
     best: float | None = None
     winners: list[np.ndarray] = []
     for lo, values in _candidate_values(oc, stream, k):

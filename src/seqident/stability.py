@@ -183,11 +183,19 @@ def check_theorem1_numeric(
     skipped and counted in the entry note.
     """
     y = d.outcome_label
+    n = d.n_stages
+    hists = [d.actions_before(i + 1) + d.covariates_through(i) for i in range(1, n + 1)]
+    laws: dict[tuple[int, int], np.ndarray] = {}  # (split, stage) -> joint of history and Y
+    for j in range(n + 1):
+        # split j serves stages j and j + 1; only one spliced joint is alive at a time
+        jt = mixed_joint_pi(m, d, s, j)
+        for i in (j, j + 1):
+            if 1 <= i <= n:
+                laws[j, i] = marginal(jt, hists[i - 1] + (y,)).table
+        del jt
     entries = []
-    for i in range(1, d.n_stages + 1):
-        hist = d.actions_before(i + 1) + d.covariates_through(i)
-        left = marginal(mixed_joint_pi(m, d, s, i - 1), hist + (y,)).table
-        right = marginal(mixed_joint_pi(m, d, s, i), hist + (y,)).table
+    for i, hist in enumerate(hists, start=1):
+        left, right = laws[i - 1, i], laws[i, i]
         lden = left.sum(axis=-1)
         rden = right.sum(axis=-1)
         both = (lden > 0.0) & (rden > 0.0)

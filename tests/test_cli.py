@@ -55,6 +55,11 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "no-such-file.sid")
         assert code == 2
 
+    def test_directory_exit_two(self, capsys, tmp_path):
+        code, out, err = run(capsys, "validate", str(tmp_path))
+        assert code == 2 and out == ""
+        assert "Is a directory" in err and "Traceback" not in err
+
 
 class TestDsep:
     def test_separated_exit_zero(self, capsys, models_dir):
@@ -73,6 +78,20 @@ class TestDsep:
     def test_unknown_node_usage_error(self, capsys, models_dir):
         code, _, err = run(capsys, "dsep", str(models_dir / "fig2a.sid"), "Q", "/", "Y", "/")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "tol, line",
+        [
+            ("1e-9", "numeric: independent (gap 1.110e-16 <= tol 1.0e-09)"),
+            ("1e-300", "numeric: dependence above --tol (gap 1.110e-16 > tol 1.0e-300)"),
+        ],
+    )
+    def test_numeric_gap_compared_with_tol(self, capsys, models_dir, tol, line):
+        # the graph verdict keeps the exit code whatever the numeric gap
+        f = str(models_dir / "fig2b.sid")
+        code, out, _ = run(capsys, "dsep", f, "L2", "/", "Y", "/", "A1", "A2", "--numeric", "--tol", tol)
+        assert code == 0
+        assert out.splitlines() == [line, "separated"]
 
 
 class TestCheck:
@@ -112,6 +131,14 @@ class TestCheck:
             str(models_dir / "fig2a.sid"),
         )
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["check", "optimize"])
+    def test_spec_from_other_diagram_exit_two(self, capsys, models_dir, command):
+        # fig2b's strategies consult L1, which the bite diagram does not have
+        f, spec = str(models_dir / "fig2a_bite.sid"), str(models_dir / "fig2b.sid")
+        code, out, err = run(capsys, command, f, "--spec", spec)
+        assert code == 2 and out == ""
+        assert err == "'L1' is not a variable of the diagram\n"
 
 
 class TestEvaluate:

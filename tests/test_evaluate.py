@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,9 +19,11 @@ from seqident import (
     make_unconditional,
     marginal,
     observational_conditionals,
+    optimize_backward,
+    parse_model_file,
     staged_diagram,
 )
-from seqident.errors import MaskedHistoryReachable, PositivityViolation
+from seqident.errors import MaskedHistoryReachable, PositivityViolation, SeqidentError
 from seqident.fuzz import (
     random_model,
     random_parent_spec,
@@ -89,14 +94,6 @@ class TestGRecursion:
         g = evaluate_g_recursion(oc, s, unit_loss).value
         o = evaluate_oracle(fig2b_model, fig2b, s, unit_loss).value
         assert g == pytest.approx(o, abs=1e-12)
-
-    def test_base_table_is_loss_broadcast(self, fig2b, fig2b_model, unit_loss):
-        oc = observational_conditionals(fig2b_model, fig2b)
-        s = from_observational(fig2b_model, fig2b)
-        r = evaluate_g_recursion(oc, s, unit_loss, retain_tables=True)
-        base = r.f_tables[0]
-        assert base.shape == (2, 2, 2, 2, 2)
-        assert np.array_equal(base, np.broadcast_to(unit_loss.values, base.shape))
 
     def test_linear_in_loss(self, fig2b, fig2b_model):
         oc = observational_conditionals(fig2b_model, fig2b)
@@ -250,3 +247,74 @@ def test_identified_random_instances_agree_with_oracle():
         assert abs(g - o) <= 1e-9, (d.labels, d.edges)
         agree += 1
     assert agree >= 20
+
+
+RECURSION_DUMP = Path(__file__).resolve().parent / "recursion_dump.json"
+
+
+def _float_table(arr) -> dict:
+    arr = np.asarray(arr)
+    return {"shape": list(arr.shape), "hex": [float(x).hex() for x in arr.ravel()]}
+
+
+def _outcome(compute) -> object:
+    try:
+        return compute()
+    except SeqidentError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _backward_record(oc, d, k) -> dict:
+    r = optimize_backward(oc, d, k, full_history_spec(d))
+    return {
+        "value": r.value.hex(),
+        "choices": {a: {"dtype": str(t.dtype), **_float_table(t)} for a, t in r.choices.items()},
+        "choice_values": {a: _float_table(t) for a, t in r.choice_values.items()},
+        "unreached": {a: t.astype(int).tolist() for a, t in r.unreached.items()},
+    }
+
+
+def _recursion_records(text: str) -> dict:
+    """g-recursion values and backward-induction results on one model file:
+    the file's strategies plus seeded random ones, two losses, the model as
+    written and with each action's first state never observed."""
+    pf = parse_model_file(text)
+    d, m = pf.diagram, pf.model
+    y = d.outcome_label
+    rng = np.random.default_rng(2012)
+    full = full_history_spec(d)
+    strategies = list(pf.strategies or ())
+    strategies += [random_strategy(rng, d, full, m.states, deterministic=det) for det in (False, True)]
+    strategies += [random_strategy(rng, d, random_parent_spec(rng, d), m.states) for _ in range(2)]
+    losses = [pf.loss, loss_function(np.linspace(-1.25, 2.0, m.states[y]), y)]
+    models = {"as-written": m}
+    for a in d.actions:
+        t = m.cpts[a].copy()
+        t[..., 0] = 0.0
+        t = t / t.sum(axis=-1, keepdims=True)
+        models[f"no-{a}=0"] = DiscreteModel(states=dict(m.states), cpts=dict(m.cpts, **{a: t}))
+    out: dict = {}
+    for mname, mm in models.items():
+        oc = observational_conditionals(mm, d)
+        for ki, k in enumerate(losses):
+            for si, s in enumerate(strategies):
+                out[f"{mname}/loss{ki}/g/{si}"] = _outcome(
+                    lambda: evaluate_g_recursion(oc, s, k).value.hex()
+                )
+            out[f"{mname}/loss{ki}/backward"] = _outcome(lambda: _backward_record(oc, d, k))
+    return out
+
+
+def test_recursion_outputs_match_stored_dump(models_dir):
+    # recursion_dump.json was written by _recursion_records on the code
+    # before the three backward recursions shared one pass; every value,
+    # choice and error message must be reproduced bit for bit
+    want = json.loads(RECURSION_DUMP.read_text())
+    got = {
+        p.name: _recursion_records(p.read_text())
+        for p in sorted(models_dir.glob("*.sid"))
+        if "cpt " in p.read_text()
+    }
+    assert sorted(got) == sorted(want)
+    for name in got:
+        assert got[name] == want[name], name

@@ -30,6 +30,7 @@ from seqident.errors import (
     SeqidentError,
 )
 from seqident.fuzz import random_model, random_parent_spec, random_staged_diagram
+from seqident.evaluate import check_recursion_support
 from seqident.optimize import _candidate_values
 
 from .oracles import bruteforce_reference
@@ -318,6 +319,59 @@ class TestBatchedBruteForce:
             k = loss_function(rng.uniform(-1, 1, m.states["Y"]), "Y")
             _assert_same_error(observational_conditionals(m, d), d, k, spec)
             done += 1
+
+    @pytest.mark.parametrize("cells", [1, 40, None])
+    @pytest.mark.parametrize("spec", ["none", "A2:L2", "full"])
+    def test_first_failing_candidate_raises_whatever_its_stage(
+        self, fig2b, fig2b_model, unit_loss, monkeypatch, spec, cells
+    ):
+        # A1=1 is never seen at L1=1 and A2=1 never at L2=1: the first failing
+        # candidate fails at stage 2 while a later one already fails at stage 1
+        import seqident.optimize
+
+        if cells is not None:
+            monkeypatch.setattr(seqident.optimize, "_CHUNK_CELLS", cells)
+        m = DiscreteModel(states=dict(fig2b_model.states), cpts=dict(fig2b_model.cpts))
+        m.cpts["A1"] = np.array([[0.7, 0.3], [1.0, 0.0]])
+        m.cpts["A2"] = np.array([[0.55, 0.45], [1.0, 0.0]])
+        oc = observational_conditionals(m, fig2b)
+        stages = []
+        for s in enumerate_deterministic(fig2b, oc.states, _spec(fig2b, spec)):
+            try:
+                check_recursion_support(oc, s)
+            except PositivityViolation as exc:
+                stages.append(exc.stage)
+        assert stages[0] == 2 and 1 in stages
+        _assert_same_error(oc, fig2b, unit_loss, _spec(fig2b, spec))
+        with pytest.raises(PositivityViolation) as exc:
+            optimize_bruteforce(oc, fig2b, unit_loss, _spec(fig2b, spec))
+        assert exc.value.stage == 2
+
+    def test_one_walk_and_one_strategy_to_raise(self, fig2b, fig2b_model, monkeypatch):
+        import seqident.evaluate
+        import seqident.optimize
+        import seqident.strategy
+
+        calls = Counter()
+
+        def counted(module, name):
+            orig = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(seqident.evaluate, "check_recursion_support")
+        counted(seqident.optimize, "check_recursion_support")
+        counted(seqident.strategy, "_make")
+        oc = observational_conditionals(_zero_column(fig2b_model, "A2", 1), fig2b)
+        full = full_history_spec(fig2b)
+        assert enumerate_deterministic(fig2b, oc.states, full).count == 1024
+        with pytest.raises(PositivityViolation):
+            optimize_bruteforce(oc, fig2b, loss_function([0.0, 1.0], "Y"), full)
+        assert calls == {"check_recursion_support": 1, "_make": 1}
 
     def test_no_per_candidate_recursion_or_strategy(self, fig2b, fig2b_model, monkeypatch):
         import seqident.evaluate

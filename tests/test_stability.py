@@ -173,6 +173,58 @@ class TestTheorem1Numeric:
         assert r.passed
         assert any("skipped" in e.note for e in r.entries)
 
+    def test_each_split_built_once(self, monkeypatch, fig2a, bite_model, fig2b, fig2b_model):
+        from seqident import DiscreteModel
+        from seqident.fuzz import random_model
+
+        zeroed = DiscreteModel(states=dict(fig2b_model.states), cpts=dict(fig2b_model.cpts))
+        zeroed.cpts["L1"] = np.array([1.0, 0.0])
+        rng = np.random.default_rng(9)
+        cases = [(bite_model, fig2a), (fig2b_model, fig2b), (zeroed, fig2b)]
+        while len(cases) < 9:
+            d = random_staged_diagram(rng, max_stages=3)
+            cases.append((random_model(rng, d, state_choices=(2,)), d))
+        splits = []
+        orig = stability.mixed_joint_pi
+
+        def counted(m, d, s, i):
+            splits.append(i)
+            return orig(m, d, s, i)
+
+        for m, d in cases:
+            s = random_strategy(rng, d, random_parent_spec(rng, d), m.states)
+            want = _splice_reference(m, d, s, 1e-6)
+            splits.clear()
+            monkeypatch.setattr(stability, "mixed_joint_pi", counted)
+            got = check_theorem1_numeric(m, d, s, tol=1e-6)
+            monkeypatch.setattr(stability, "mixed_joint_pi", orig)
+            assert splits == list(range(d.n_stages + 1))
+            assert got == want
+
+
+def _splice_reference(m, d, s, tol):
+    """The splice check with both spliced joints built afresh for every stage."""
+    from seqident import marginal, mixed_joint_pi
+    from seqident.stability import CheckEntry, IdentificationReport
+
+    y = d.outcome_label
+    entries = []
+    for i in range(1, d.n_stages + 1):
+        hist = d.actions_before(i + 1) + d.covariates_through(i)
+        left = marginal(mixed_joint_pi(m, d, s, i - 1), hist + (y,)).table
+        right = marginal(mixed_joint_pi(m, d, s, i), hist + (y,)).table
+        lden, rden = left.sum(axis=-1), right.sum(axis=-1)
+        both = (lden > 0.0) & (rden > 0.0)
+        dev = 0.0
+        if both.any():
+            dev = float(np.abs(left[both] / lden[both][:, None] - right[both] / rden[both][:, None]).max())
+        note = f"max deviation {dev:.3e}"
+        if (~both).sum():
+            note += f"; skipped {int((~both).sum())} zero-probability histories"
+        query = f"outcome law given {', '.join(hist) or 'nothing'} invariant to stage-{i} splice"
+        entries.append(CheckEntry(i, query, dev <= tol, None, note))
+    return IdentificationReport(check="splice-agreement", entries=tuple(entries))
+
 
 class TestDecide:
     def test_three_verdicts(self, fig2a, fig2b):
