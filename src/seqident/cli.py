@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -28,6 +29,7 @@ from .diagram import (
     validate_diagram,
 )
 from .errors import (
+    EmptyQuerySet,
     InternalTheorem2Violation,
     InvalidParentSpec,
     OverlappingSets,
@@ -59,6 +61,7 @@ from .stability import (
 
 USAGE_ERRORS = (
     ModelFileError,
+    EmptyQuerySet,
     UnknownLabel,
     UnknownNode,
     OverlappingSets,
@@ -404,6 +407,23 @@ def _cmd_report(args) -> int:
     return code
 
 
+def _at_least(kind: type, low: int):
+    """argparse type: a finite number of the given kind, no smaller than low."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not math.isfinite(value) or value < low:
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqident",
@@ -416,11 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9,
+    common.add_argument("--tol", type=_at_least(float, 0), default=1e-9,
                         help="tolerance for numeric equality checks")
-    common.add_argument("--dep-tol", type=float, default=1e-6,
+    common.add_argument("--dep-tol", type=_at_least(float, 0), default=1e-6,
                         help="threshold for calling a numeric dependence real")
-    common.add_argument("--max-enum", type=int, default=10**6,
+    common.add_argument("--max-enum", type=_at_least(int, 1), default=10**6,
                         help="cap on strategy enumeration size")
 
     p = sub.add_parser("validate", parents=[common], help="validate a model file")
@@ -466,9 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem2", action="store_true",
                    help="general-criterion pass implies simple stability on "
                         "full-history problems")
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("SEQIDENT_SEED", "0")))
-    p.add_argument("--iters", type=int, default=1000)
+    # a string default goes through the type check, so a bad SEQIDENT_SEED
+    # is a usage error of fuzz alone
+    p.add_argument("--seed", type=_at_least(int, 0),
+                   default=os.environ.get("SEQIDENT_SEED", "0"))
+    p.add_argument("--iters", type=_at_least(int, 0), default=1000)
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser("report", parents=[common], help="full machine-readable report")

@@ -55,17 +55,35 @@ class Dag:
 
     @cached_property
     def topological_order(self) -> tuple[int, ...]:
-        indeg = [len(ps) for ps in self.parents]
-        queue = deque(i for i, d in enumerate(indeg) if d == 0)
-        order: list[int] = []
-        while queue:
-            n = queue.popleft()
-            order.append(n)
-            for c in self.children[n]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        return tuple(order)
+        """Reversed postorder of a depth-first search over children, roots and
+        children in index order; the first back edge met raises CycleDetected
+        with the cycle it closes."""
+        children = self.children
+        color = [0] * len(children)  # 0 white, 1 gray, 2 black
+        post: list[int] = []
+        for root in range(len(children)):
+            if color[root]:
+                continue
+            # an explicit stack of child iterators: a recursive closure would
+            # leave a reference cycle behind for every graph built
+            color[root] = 1
+            path = [root]
+            todo = [iter(children[root])]
+            while todo:
+                for c in todo[-1]:
+                    if color[c] == 1:
+                        raise CycleDetected(tuple(self.labels[i] for i in path[path.index(c) :]))
+                    if color[c] == 0:
+                        color[c] = 1
+                        path.append(c)
+                        todo.append(iter(children[c]))
+                        break
+                else:
+                    todo.pop()
+                    n = path.pop()
+                    color[n] = 2
+                    post.append(n)
+        return tuple(reversed(post))
 
     def node_ids(self, labels: Iterable[str]) -> frozenset[int]:
         try:
@@ -82,34 +100,6 @@ class Dag:
         return tuple(
             sorted((self.labels[a], self.labels[b]) for a, b in self.edges)
         )
-
-
-def _find_cycle(labels: Sequence[str], children: Sequence[Sequence[int]]) -> tuple[str, ...]:
-    # DFS back-edge search; only called when Kahn's algorithm stalls.
-    color = [0] * len(labels)  # 0 white, 1 gray, 2 black
-    stack: list[int] = []
-
-    def visit(n: int) -> tuple[str, ...] | None:
-        color[n] = 1
-        stack.append(n)
-        for c in children[n]:
-            if color[c] == 1:
-                at = stack.index(c)
-                return tuple(labels[i] for i in stack[at:])
-            if color[c] == 0:
-                found = visit(c)
-                if found is not None:
-                    return found
-        stack.pop()
-        color[n] = 2
-        return None
-
-    for n in range(len(labels)):
-        if color[n] == 0:
-            found = visit(n)
-            if found is not None:
-                return found
-    raise AssertionError("cycle reported but not found")
 
 
 def build_dag(labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> Dag:
@@ -133,22 +123,24 @@ def build_dag(labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> Dag:
             raise CycleDetected((a,))
         seen.add(pair)
     dag = Dag(labels=labels, edges=frozenset(seen))
-    if len(dag.topological_order) != len(labels):
-        raise CycleDetected(_find_cycle(labels, dag.children))
+    dag.topological_order  # raises CycleDetected
     return dag
+
+
+def _ancestor_ids(g: Dag, ids: Iterable[int]) -> set[int]:
+    reached = set(ids)
+    todo = list(reached)
+    while todo:
+        for p in g.parents[todo.pop()]:
+            if p not in reached:
+                reached.add(p)
+                todo.append(p)
+    return reached
 
 
 def ancestors(g: Dag, seed: Iterable[str]) -> frozenset[str]:
     """Seed plus every node with a directed path into the seed."""
-    frontier = deque(g.node_ids(seed))
-    reached: set[int] = set(frontier)
-    while frontier:
-        n = frontier.popleft()
-        for p in g.parents[n]:
-            if p not in reached:
-                reached.add(p)
-                frontier.append(p)
-    return frozenset(g.labels[i] for i in reached)
+    return frozenset(g.labels[i] for i in _ancestor_ids(g, g.node_ids(seed)))
 
 
 @dataclass(frozen=True)
@@ -172,26 +164,29 @@ class MoralGraph:
         return {lab: tuple(sorted(ns, key=order.__getitem__)) for lab, ns in adj.items()}
 
 
+def _moral_neighbours(g: Dag, ids: Iterable[int]) -> dict[int, set[int]]:
+    """Adjacency of the ancestral moral graph of ids.  An ancestral closure
+    holds every parent of its nodes, so each node's parents are its
+    neighbours and are married to one another.  A node with a co-parent also
+    lists itself; both callers skip that entry."""
+    nb: dict[int, set[int]] = {i: set() for i in _ancestor_ids(g, ids)}
+    for child, ns in nb.items():
+        ps = g.parents[child]
+        ns.update(ps)
+        for p in ps:
+            nb[p].add(child)
+            nb[p].update(ps)
+    return nb
+
+
 def ancestral_moral_graph(g: Dag, seed: Iterable[str]) -> MoralGraph:
     """Restrict to ancestors(seed), marry parents sharing a child, drop directions."""
-    closure = g.node_ids(ancestors(g, seed))
-    kept = tuple(g.labels[i] for i in sorted(closure))
-    undirected: set[tuple[str, str]] = set()
-
-    def add(a: int, b: int) -> None:
-        if a != b:
-            lo, hi = (a, b) if a < b else (b, a)
-            undirected.add((g.labels[lo], g.labels[hi]))
-
-    for a, b in g.edges:
-        if a in closure and b in closure:
-            add(a, b)
-    for child in closure:
-        ps = [p for p in g.parents[child] if p in closure]
-        for i, a in enumerate(ps):
-            for b in ps[i + 1 :]:
-                add(a, b)
-    return MoralGraph(labels=kept, edges=frozenset(undirected))
+    nb = _moral_neighbours(g, g.node_ids(seed))
+    lab = g.labels
+    return MoralGraph(
+        labels=tuple(lab[i] for i in sorted(nb)),
+        edges=frozenset((lab[a], lab[b]) for a, ns in nb.items() for b in ns if a < b),
+    )
 
 
 @dataclass(frozen=True)
@@ -226,28 +221,22 @@ def d_separated(
     if xs & ys or xs & zs or ys & zs:
         raise OverlappingSets("query and conditioning sets must be pairwise disjoint")
 
-    moral = ancestral_moral_graph(g, [g.labels[i] for i in xs | ys | zs])
-    blocked = {g.labels[i] for i in zs}
-    targets = {g.labels[i] for i in xs}
+    nb = _moral_neighbours(g, xs | ys | zs)
 
     # Multi-source BFS from y; sources and neighbour expansion in index
     # order make the reported path deterministic.
-    prev: dict[str, str | None] = {}
-    queue: deque[str] = deque()
-    for i in sorted(ys):
-        lab = g.labels[i]
-        prev[lab] = None
-        queue.append(lab)
+    prev: dict[int, int | None] = dict.fromkeys(ys)
+    queue = deque(sorted(ys))
     while queue:
         node = queue.popleft()
-        if node in targets:
+        if node in xs:
             path = [node]
             while prev[path[-1]] is not None:
                 path.append(prev[path[-1]])  # type: ignore[arg-type]
-            return SeparationVerdict(separated=False, witness=tuple(reversed(path)))
-        for nb in moral.adjacency.get(node, ()):
-            if nb in blocked or nb in prev:
-                continue
-            prev[nb] = node
-            queue.append(nb)
+            witness = tuple(g.labels[i] for i in reversed(path))
+            return SeparationVerdict(separated=False, witness=witness)
+        for n in sorted(nb[node] - zs):
+            if n not in prev:
+                prev[n] = node
+                queue.append(n)
     return SeparationVerdict(separated=True)

@@ -32,7 +32,7 @@ from .diagram import (
     parent_spec,
     staged_diagram,
 )
-from .errors import InvalidParentSpec, SeqidentError
+from .errors import InvalidParentSpec, SeqidentError, UnknownLabel
 from .graph import MAX_NODES
 from .prob import DiscreteModel, LossFunction, loss_function
 from .strategy import Strategy, make_stochastic
@@ -68,7 +68,7 @@ class ParsedModelFile:
         for s in self.strategies or ():
             if s.name == name:
                 return s
-        raise SeqidentError(f"no strategy named {name!r} in file")
+        raise UnknownLabel(f"no strategy named {name!r} in file")
 
 
 @dataclass

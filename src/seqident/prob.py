@@ -163,7 +163,7 @@ def _product_joint(
         raise StateSpaceTooLarge(f"{cells} cells exceed the cap of {MAX_CELLS}")
     out = np.ones(shape, dtype=float)
     for axes, arr in factors:
-        out = out * _expand(arr, axes, len(shape), shape)
+        out *= _expand(arr, axes, len(shape), shape)
     return JointTable(labels=labels, table=out)
 
 

@@ -157,9 +157,7 @@ def check_assumptions(d: StagedDiagram, spec: StrategyParentSpec) -> Identificat
             f"informational: {a} ancestor of {y} in the all-strategy graph: "
             f"{a in anc_y}"
         )
-    anc_actions = set()
-    for a in d.actions:
-        anc_actions |= ancestors(d0, (a,))
+    anc_actions = ancestors(d0, d.actions)
     for v in d.vars:
         if v.kind.value == "covariate":
             notes.append(

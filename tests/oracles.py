@@ -2,7 +2,11 @@
 
 Everything here is deliberately written in a different style from the
 package internals: plain dicts and explicit loops instead of dense arrays,
-and an active-path separation test instead of moralisation.
+and an active-path separation test instead of moralisation.  The graph
+references further down are the label-based moralisation and breadth-first
+search, and the Kahn order with its cycle search, that ``seqident.graph``
+used before it worked on node ids; the id-based code must reproduce them
+exactly.
 """
 
 from __future__ import annotations
@@ -57,6 +61,114 @@ def path_d_separated(g: Dag, x: set[str], y: set[str], z: set[str]) -> bool:
                 for p in g.parents[node]:
                     queue.append((p, "up"))
     return not any(g.index[v] in reachable for v in y)
+
+
+def moral_graph_reference(
+    g: Dag, seed
+) -> tuple[tuple[str, ...], frozenset[tuple[str, str]]]:
+    """Labels (host index order) and edges (endpoints in host index order) of
+    the ancestral moral graph: every DAG edge inside the closure, plus every
+    pair of closure parents sharing a child."""
+    frontier = deque(g.index[v] for v in seed)
+    closure: set[int] = set(frontier)
+    while frontier:
+        n = frontier.popleft()
+        for p in g.parents[n]:
+            if p not in closure:
+                closure.add(p)
+                frontier.append(p)
+    undirected: set[tuple[str, str]] = set()
+
+    def add(a: int, b: int) -> None:
+        if a != b:
+            lo, hi = (a, b) if a < b else (b, a)
+            undirected.add((g.labels[lo], g.labels[hi]))
+
+    for a, b in g.edges:
+        if a in closure and b in closure:
+            add(a, b)
+    for child in closure:
+        ps = [p for p in g.parents[child] if p in closure]
+        for i, a in enumerate(ps):
+            for b in ps[i + 1 :]:
+                add(a, b)
+    return tuple(g.labels[i] for i in sorted(closure)), frozenset(undirected)
+
+
+def separation_witness_reference(g: Dag, x, y, z) -> tuple[str, ...] | None:
+    """Breadth-first search on labels over the ancestral moral graph, from y
+    (sources in index order, neighbours in index order) to x, avoiding z.
+    None when separated, else the first path found."""
+    labels, edges = moral_graph_reference(g, set(x) | set(y) | set(z))
+    order = {lab: i for i, lab in enumerate(labels)}
+    adj: dict[str, set[str]] = {lab: set() for lab in labels}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    prev: dict[str, str | None] = {}
+    queue: deque[str] = deque()
+    for lab in sorted(y, key=g.index.__getitem__):
+        prev[lab] = None
+        queue.append(lab)
+    while queue:
+        node = queue.popleft()
+        if node in x:
+            path = [node]
+            while prev[path[-1]] is not None:
+                path.append(prev[path[-1]])
+            return tuple(reversed(path))
+        for nb in sorted(adj[node], key=order.__getitem__):
+            if nb in z or nb in prev:
+                continue
+            prev[nb] = node
+            queue.append(nb)
+    return None
+
+
+def kahn_order(n: int, edges: set[tuple[int, int]]) -> tuple[int, ...]:
+    """Kahn's algorithm, children in index order; shorter than n iff the
+    edges hold a cycle."""
+    children: list[list[int]] = [sorted(b for a, b in edges if a == i) for i in range(n)]
+    indeg = [sum(1 for _, b in edges if b == i) for i in range(n)]
+    queue = deque(i for i in range(n) if indeg[i] == 0)
+    order: list[int] = []
+    while queue:
+        node = queue.popleft()
+        order.append(node)
+        for c in children[node]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                queue.append(c)
+    return tuple(order)
+
+
+def first_cycle(labels, edges: set[tuple[int, int]]) -> tuple[str, ...]:
+    """Depth-first back-edge search, roots and children in index order; the
+    first cycle closed, as labels.  Only meaningful when Kahn stalls."""
+    children = [sorted(b for a, b in edges if a == i) for i in range(len(labels))]
+    color = [0] * len(labels)  # 0 white, 1 gray, 2 black
+    stack: list[int] = []
+
+    def visit(n: int) -> tuple[str, ...] | None:
+        color[n] = 1
+        stack.append(n)
+        for c in children[n]:
+            if color[c] == 1:
+                return tuple(labels[i] for i in stack[stack.index(c) :])
+            if color[c] == 0:
+                found = visit(c)
+                if found is not None:
+                    return found
+        stack.pop()
+        color[n] = 2
+        return None
+
+    for n in range(len(labels)):
+        if color[n] == 0:
+            found = visit(n)
+            if found is not None:
+                return found
+    raise AssertionError("cycle reported but not found")
 
 
 def brute_joint(

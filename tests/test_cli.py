@@ -177,7 +177,7 @@ class TestEvaluate:
         code, _, err = run(
             capsys, "evaluate", str(models_dir / "fig2b.sid"), "--strategy", "nope"
         )
-        assert code == 1
+        assert code == 2 and "no strategy named 'nope' in file" in err
 
     def test_non_finite_loss_exit_two(self, capsys, models_dir, tmp_path):
         p = tmp_path / "inf.sid"
@@ -246,6 +246,13 @@ class TestFuzz:
         monkeypatch.setenv("SEQIDENT_SEED", "12")
         code, out, _ = run(capsys, "fuzz", "--theorem2", "--iters", "5")
         assert code == 0
+
+    def test_bad_seed_env_fails_fuzz_only(self, capsys, models_dir, monkeypatch):
+        monkeypatch.setenv("SEQIDENT_SEED", "abc")
+        code, out, err = run(capsys, "fuzz", "--theorem2", "--iters", "5")
+        assert code == 2 and out == "" and "argument --seed: invalid int value: 'abc'" in err
+        code, out, _ = run(capsys, "validate", str(models_dir / "fig2b.sid"))
+        assert code == 0 and out == "ok\n"
 
     def test_requires_property_flag(self, capsys):
         code, _, err = run(capsys, "fuzz")
@@ -333,6 +340,56 @@ class TestReport:
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("command", ["positivity", "report"])
+    def test_unknown_strategy_exit_two(self, capsys, models_dir, command):
+        code, out, err = run(capsys, command, str(models_dir / "fig2b.sid"), "--strategy", "nope")
+        assert code == 2 and out == ""
+        assert err == "no strategy named 'nope' in file\n"
+
+    def test_empty_query_set_exit_two(self, capsys, models_dir):
+        code, out, err = run(capsys, "dsep", str(models_dir / "fig2b.sid"), "/", "Y", "/", "A1")
+        assert code == 2 and out == ""
+        assert err == "both query sets must be nonempty\n"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("report", "fig2b.sid", "--strategy", "threshold", "--tol", "nan"), "--tol"),
+            (("report", "fig2b.sid", "--strategy", "threshold", "--tol", "-1"), "--tol"),
+            (("dsep", "fig2b.sid", "L2", "/", "Y", "/", "A1", "A2", "--numeric", "--tol", "nan"),
+             "--tol"),
+            (("dsep", "fig2b.sid", "L2", "/", "Y", "/", "--numeric", "--dep-tol", "inf"),
+             "--dep-tol"),
+            (("dsep", "fig2b.sid", "L2", "/", "Y", "/", "--numeric", "--dep-tol", "-0.5"),
+             "--dep-tol"),
+            (("fuzz", "--theorem2", "--iters", "-5"), "--iters"),
+            (("fuzz", "--theorem2", "--seed", "-1"), "--seed"),
+            (("optimize", "fig2b.sid", "--spec", "none", "--max-enum", "-1"), "--max-enum"),
+            (("optimize", "fig2b.sid", "--spec", "none", "--max-enum", "0"), "--max-enum"),
+            (("optimize", "fig2b.sid", "--max-enum", "1.5"), "--max-enum"),
+        ],
+    )
+    def test_bad_numeric_flag_exit_two(self, capsys, models_dir, argv, flag):
+        argv = [str(models_dir / a) if a.endswith(".sid") else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"argument {flag}:" in err
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("fuzz", "--theorem2", "--iters", "0"), "iterations 0: simple 0, general-only 0, "
+             "not-guaranteed 0"),
+            (("dsep", "fig2b.sid", "L2", "/", "Y", "/", "A1", "A2", "--numeric", "--tol", "0"),
+             "numeric: dependence above --tol (gap 1.110e-16 > tol 0.0e+00)"),
+            (("optimize", "dominance.sid", "--spec", "none", "--max-enum", "16"), "value 0.645"),
+        ],
+    )
+    def test_numeric_flag_bounds_accepted(self, capsys, models_dir, argv, line):
+        argv = [str(models_dir / a) if a.endswith(".sid") else a for a in argv]
+        _, out, err = run(capsys, *argv)
+        assert err == "" and out.splitlines()[0] == line
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from seqident import (
     ci_holds,
     d_separated,
     dag_joint,
+    full_history_spec,
+    stability,
 )
 from seqident.errors import (
     CycleDetected,
@@ -23,9 +27,20 @@ from seqident.errors import (
     UnknownLabel,
     UnknownNode,
 )
-from seqident.fuzz import random_dag, random_dag_parameterization
+from seqident.fuzz import (
+    random_dag,
+    random_dag_parameterization,
+    random_parent_spec,
+    random_staged_diagram,
+)
 
-from .oracles import path_d_separated
+from .oracles import (
+    first_cycle,
+    kahn_order,
+    moral_graph_reference,
+    path_d_separated,
+    separation_witness_reference,
+)
 
 
 class TestBuildDag:
@@ -302,3 +317,88 @@ def test_connection_shows_up_numerically():
                 break
         assert dependent, (g.edge_labels(), x, y, z)
     assert found >= 10
+
+
+def _forward_edges(rng, n: int, p_edge: float):
+    """Edges of a random DAG whose topological order is a random permutation
+    of the node ids, so index order and edge direction disagree."""
+    rank = [int(v) for v in rng.permutation(n)]
+    edges = {(rank[a], rank[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < p_edge}
+    return edges, rank
+
+
+def _dag_from_ids(rng, n: int, edges):
+    labels = [f"v{i}" for i in range(n)]
+    listed = sorted(edges)
+    listed = [listed[k] for k in rng.permutation(len(listed))]
+    return build_dag(labels, [(labels[a], labels[b]) for a, b in listed])
+
+
+def _matches_references(g, x, y, z):
+    v = d_separated(g, x, y, z)
+    seed = set(x) | set(y) | set(z)
+    assert v.witness == separation_witness_reference(g, set(x), set(y), set(z))
+    m = ancestral_moral_graph(g, seed)
+    labels, edges = moral_graph_reference(g, seed)
+    assert (m.labels, m.edges) == (labels, edges)
+    assert ancestors(g, seed) == frozenset(labels)
+    return v
+
+
+def test_separation_matches_label_reference_on_random_dags():
+    rng = np.random.default_rng(6)
+    seen = Counter()
+    for _ in range(400):
+        n = int(rng.integers(2, 11))
+        g = _dag_from_ids(rng, n, _forward_edges(rng, n, rng.uniform(0.15, 0.7))[0])
+        seen[_matches_references(g, *_random_query(rng, g.labels)).separated] += 1
+    assert min(seen.values()) >= 50
+
+
+def test_separation_matches_label_reference_on_check_graphs(monkeypatch):
+    # every query the stability, general and Pearl-Robins checks pose, on
+    # the graphs they build
+    seen = Counter()
+
+    def checked(g, x, y, z=()):
+        v = _matches_references(g, x, y, z)
+        seen[v.separated] += 1
+        return v
+
+    monkeypatch.setattr(stability, "d_separated", checked)
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        d = random_staged_diagram(rng, max_stages=4, max_extra=6)
+        for spec in (full_history_spec(d), random_parent_spec(rng, d)):
+            stability.check_simple_stability(d)
+            stability.check_extended_stability(d)
+            stability.check_general(d, spec)
+            stability.check_pearl_robins(d, spec)
+    assert min(seen.values()) >= 50
+
+
+def test_cycles_and_orders_match_kahn_reference():
+    rng = np.random.default_rng(13)
+    seen = Counter()
+    for _ in range(400):
+        n = int(rng.integers(2, 11))
+        edges, rank = _forward_edges(rng, n, rng.uniform(0.1, 0.5))
+        for _ in range(int(rng.integers(0, 3))):
+            # a forward chain closed by one back edge
+            k = int(rng.integers(2, n + 1))
+            chain = [rank[p] for p in sorted(rng.choice(n, size=k, replace=False))]
+            edges |= set(zip(chain, chain[1:])) | {(chain[-1], chain[0])}
+        order = kahn_order(n, edges)
+        try:
+            g = _dag_from_ids(rng, n, edges)
+        except CycleDetected as exc:
+            assert len(order) < n
+            assert exc.cycle == first_cycle([f"v{i}" for i in range(n)], edges)
+            seen["cyclic"] += 1
+        else:
+            assert len(order) == n
+            assert sorted(g.topological_order) == list(range(n))
+            pos = {node: k for k, node in enumerate(g.topological_order)}
+            assert all(pos[a] < pos[b] for a, b in g.edges)
+            seen["acyclic"] += 1
+    assert min(seen.values()) >= 100
