@@ -59,7 +59,13 @@ from .stability import (
     decide_identifiability,
 )
 
+
+class _UsageError(Exception):
+    """A command line the command cannot act on; exit code 2."""
+
+
 USAGE_ERRORS = (
+    _UsageError,
     ModelFileError,
     EmptyQuerySet,
     UnknownLabel,
@@ -67,6 +73,7 @@ USAGE_ERRORS = (
     OverlappingSets,
     StageOutOfRange,
     InvalidParentSpec,
+    OSError,  # the model file could not be read
 )
 
 
@@ -94,10 +101,6 @@ def _resolve_spec(arg: str, d: StagedDiagram) -> StrategyParentSpec:
     return parent_spec(d, dict(other.strategy_specs[first].parents))
 
 
-def _witness_text(witness) -> str:
-    return " - ".join(witness)
-
-
 def _print_report(rd: dict) -> None:
     """Text rendering of one ``_report_dict`` document."""
     print(f"[{rd['check']}] {'PASS' if rd['overall'] else 'FAIL'}")
@@ -108,7 +111,7 @@ def _print_report(rd: dict) -> None:
             line += f"  ({e['note']})"
         print(line)
         if e["witness"] is not None:
-            print(f"    witness: {_witness_text(e['witness'])}")
+            print(f"    witness: {' - '.join(e['witness'])}")
     for n in rd["notes"]:
         print(f"  note: {n}")
 
@@ -149,12 +152,26 @@ def _analyse(d: StagedDiagram, spec: StrategyParentSpec):
     return reports, decision
 
 
-def _has_violations(d: StagedDiagram) -> bool:
-    """Print the diagram's violations to stderr; true if there are any."""
-    violations = validate_diagram(d)
+def _require(pf: ParsedModelFile, who: str, *sections: str) -> None:
+    """Usage error unless the file has every named section."""
+    present = {"cpt": pf.model, "loss": pf.loss, "strategy": pf.strategies}
+    if any(present[name] is None for name in sections):
+        if len(sections) == 1:
+            raise _UsageError(f"{who} needs a {sections[0]} section")
+        raise _UsageError(f"{who} needs {' and '.join(sections)} sections")
+
+
+def _inputs(args, *sections: str) -> ParsedModelFile | None:
+    """Load ``args.file`` and print its diagram violations to stderr: None
+    if there are any, else the file, which must have the named sections."""
+    pf = _load(args.file)
+    violations = validate_diagram(pf.diagram)
     for v in violations:
         print(f"{v.code}: {v.message}", file=sys.stderr)
-    return bool(violations)
+    if violations:
+        return None
+    _require(pf, args.command, *sections)
+    return pf
 
 
 def _cmd_validate(args) -> int:
@@ -174,8 +191,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_dsep(args) -> int:
-    pf = _load(args.file)
-    if _has_violations(pf.diagram):
+    pf = _inputs(args)
+    if pf is None:
         return 1
     groups: list[list[str]] = [[]]
     for tok in args.query:
@@ -184,34 +201,25 @@ def _cmd_dsep(args) -> int:
         else:
             groups[-1].append(tok)
     if len(groups) != 3:
-        print("query must be '<x..> / <y..> / <z..>'", file=sys.stderr)
-        return 2
+        raise _UsageError("query must be '<x..> / <y..> / <z..>'")
     x, y, z = groups
     uses_regime = REGIME in x + y + z
     g = augment_with_regime(pf.diagram) if uses_regime else pf.diagram.dag
     verdict = d_separated(g, x, y, z)
     if args.numeric:
-        code = _dsep_numeric(args, pf, x, y, z, uses_regime, verdict.separated)
-        if code is not None:
-            return code
+        _dsep_numeric(args, pf, x, y, z, uses_regime, verdict.separated)
     if verdict.separated:
         print("separated")
         return 0
     print("NOT separated")
-    print(f"witness: {_witness_text(verdict.witness)}")
+    print(f"witness: {' - '.join(verdict.witness)}")
     return 1
 
 
-def _dsep_numeric(args, pf, x, y, z, uses_regime, separated) -> int | None:
-    """Cross-check the graph verdict on the file's joint; returns an exit
-    code only on usage problems."""
-    if pf.model is None:
-        print("--numeric needs a cpt section", file=sys.stderr)
-        return 2
+def _dsep_numeric(args, pf, x, y, z, uses_regime, separated) -> None:
+    """Cross-check the graph verdict on the file's joint."""
+    _require(pf, "dsep --numeric", "cpt", *(["strategy"] if uses_regime else []))
     if uses_regime:
-        if not pf.strategies:
-            print("--numeric with the regime node needs a strategy section", file=sys.stderr)
-            return 2
         jt = regime_mixture_joint(pf.model, pf.diagram, pf.strategies[0])
     else:
         jt = joint(pf.model, pf.diagram)
@@ -223,12 +231,11 @@ def _dsep_numeric(args, pf, x, y, z, uses_regime, separated) -> int | None:
     else:
         felt = "felt" if gap > args.dep_tol else "below --dep-tol"
         print(f"numeric: dependence gap {gap:.3e} ({felt} at {args.dep_tol:.1e})")
-    return None
 
 
 def _cmd_check(args) -> int:
-    pf = _load(args.file)
-    if _has_violations(pf.diagram):
+    pf = _inputs(args)
+    if pf is None:
         return 1
     d = pf.diagram
     want_all = args.all or not (args.simple or args.extended or args.general or args.pearl_robins)
@@ -259,12 +266,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_positivity(args) -> int:
-    pf = _load(args.file)
-    if _has_violations(pf.diagram):
+    pf = _inputs(args, "cpt")
+    if pf is None:
         return 1
-    if pf.model is None:
-        print("file has no cpt section", file=sys.stderr)
-        return 2
     s = pf.strategy(args.strategy)
     report = check_positivity(pf.model, pf.diagram, s)
     if report.passed:
@@ -279,12 +283,9 @@ def _cmd_positivity(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    pf = _load(args.file)
-    if _has_violations(pf.diagram):
+    pf = _inputs(args, "cpt", "loss")
+    if pf is None:
         return 1
-    if pf.model is None or pf.loss is None:
-        print("evaluate needs cpt and loss sections", file=sys.stderr)
-        return 2
     s = pf.strategy(args.strategy)
     if args.method == "grecursion":
         oc = observational_conditionals(pf.model, pf.diagram)
@@ -293,8 +294,7 @@ def _cmd_evaluate(args) -> int:
         result = evaluate_oracle(pf.model, pf.diagram, s, pf.loss)
     else:
         if not s.deterministic:
-            print("decomposition method needs a deterministic strategy", file=sys.stderr)
-            return 2
+            raise _UsageError("decomposition method needs a deterministic strategy")
         result = evaluate_decomposition(pf.model, pf.diagram, s, pf.loss)
     print(f"value {result.value!r}")
     return 0
@@ -315,12 +315,9 @@ def _strategy_table_lines(d: StagedDiagram, choices, oc) -> list[str]:
 
 
 def _cmd_optimize(args) -> int:
-    pf = _load(args.file)
-    if _has_violations(pf.diagram):
+    pf = _inputs(args, "cpt", "loss")
+    if pf is None:
         return 1
-    if pf.model is None or pf.loss is None:
-        print("optimize needs cpt and loss sections", file=sys.stderr)
-        return 2
     d = pf.diagram
     spec = _resolve_spec(args.spec, d)
     oc = observational_conditionals(pf.model, d)
@@ -341,8 +338,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     if not args.theorem2:
-        print("nothing to fuzz; pass --theorem2", file=sys.stderr)
-        return 2
+        raise _UsageError("nothing to fuzz; pass --theorem2")
     result = theorem2_fuzz(args.seed, args.iters)
     print(
         f"iterations {result.iterations}: simple {result.simple_passes}, "
@@ -364,6 +360,8 @@ def _cmd_report(args) -> int:
     code = 1 if violations else 0
     if not violations:
         spec = _resolve_spec(args.spec, d)
+        if args.strategy is not None:
+            _require(pf, "report --strategy", "cpt", "loss")
         reports, decision = _analyse(d, spec)
         doc["reports"] = [_report_dict(r) for r in reports]
         doc["verdict"] = decision.verdict.value
@@ -435,26 +433,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=_at_least(float, 0), default=1e-9,
-                        help="tolerance for numeric equality checks")
-    common.add_argument("--dep-tol", type=_at_least(float, 0), default=1e-6,
-                        help="threshold for calling a numeric dependence real")
-    common.add_argument("--max-enum", type=_at_least(int, 1), default=10**6,
-                        help="cap on strategy enumeration size")
-
-    p = sub.add_parser("validate", parents=[common], help="validate a model file")
+    p = sub.add_parser("validate", help="validate a model file")
     p.add_argument("file")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("dsep", parents=[common], help="separation query on the diagram")
+    p = sub.add_parser("dsep", help="separation query on the diagram")
     p.add_argument("file")
     p.add_argument("query", nargs="+", metavar="X.. / Y.. / Z..")
     p.add_argument("--numeric", action="store_true",
                    help="with a cpt section, also measure the dependence on the joint")
+    p.add_argument("--tol", type=_at_least(float, 0), default=1e-9,
+                   help="tolerance for numeric equality checks")
+    p.add_argument("--dep-tol", type=_at_least(float, 0), default=1e-6,
+                   help="threshold for calling a numeric dependence real")
     p.set_defaults(func=_cmd_dsep)
 
-    p = sub.add_parser("check", parents=[common], help="run identifiability checks")
+    p = sub.add_parser("check", help="run identifiability checks")
     p.add_argument("file")
     p.add_argument("--simple", action="store_true")
     p.add_argument("--extended", action="store_true")
@@ -465,24 +459,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'full', 'none', or a file whose first strategy fixes the parent sets")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("positivity", parents=[common], help="support-inclusion check")
+    p = sub.add_parser("positivity", help="support-inclusion check")
     p.add_argument("file")
     p.add_argument("--strategy", required=True)
     p.set_defaults(func=_cmd_positivity)
 
-    p = sub.add_parser("evaluate", parents=[common], help="expected loss of a strategy")
+    p = sub.add_parser("evaluate", help="expected loss of a strategy")
     p.add_argument("file")
     p.add_argument("--strategy", required=True)
     p.add_argument("--method", choices=["grecursion", "oracle", "decomposition"],
                    default="grecursion")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("optimize", parents=[common], help="optimal strategy search")
+    p = sub.add_parser("optimize", help="optimal strategy search")
     p.add_argument("file")
     p.add_argument("--spec", default="full")
+    p.add_argument("--max-enum", type=_at_least(int, 1), default=10**6,
+                   help="cap on strategy enumeration size")
     p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("fuzz", parents=[common], help="randomised property sweeps")
+    p = sub.add_parser("fuzz", help="randomised property sweeps")
     p.add_argument("--theorem2", action="store_true",
                    help="general-criterion pass implies simple stability on "
                         "full-history problems")
@@ -493,11 +489,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=_at_least(int, 0), default=1000)
     p.set_defaults(func=_cmd_fuzz)
 
-    p = sub.add_parser("report", parents=[common], help="full machine-readable report")
+    p = sub.add_parser("report", help="full machine-readable report")
     p.add_argument("file")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--spec", default="full")
     p.add_argument("--strategy", default=None)
+    p.add_argument("--tol", type=_at_least(float, 0), default=1e-9,
+                   help="tolerance for numeric equality checks")
     p.set_defaults(func=_cmd_report)
 
     return parser
@@ -519,9 +517,6 @@ def main(argv=None) -> int:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
     except USAGE_ERRORS as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except SeqidentError as exc:

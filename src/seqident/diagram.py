@@ -320,6 +320,14 @@ def parent_spec(d: StagedDiagram, mapping: Mapping[str, Iterable[str]]) -> Strat
     return StrategyParentSpec(parents=tuple(entries))
 
 
+def kernel_parent_order(
+    d: StagedDiagram, spec: StrategyParentSpec, action: str
+) -> tuple[str, ...]:
+    """The action's strategy parents in diagram order, which is the order of
+    the parent axes of its kernel table."""
+    return tuple(sorted(spec.of(action), key=d.position.__getitem__))
+
+
 def full_history_spec(d: StagedDiagram) -> StrategyParentSpec:
     """Every action may consult all earlier actions and all covariates realised so far."""
     mapping = {
@@ -347,7 +355,7 @@ def normalize_parents(d: StagedDiagram, spec: StrategyParentSpec) -> StagedDiagr
     extra_inert: set[tuple[str, str]] = set(d.inert)
     for action in d.actions:
         have = set(d.pa_o(action))
-        for p in sorted(spec.of(action), key=d.position.__getitem__):
+        for p in kernel_parent_order(d, spec, action):
             if p not in have:
                 extra_edges.append((p, action))
                 extra_inert.add((action, p))
@@ -379,7 +387,7 @@ def build_check_graph(d: StagedDiagram, spec: StrategyParentSpec, i: int) -> Dag
         if v.stage < i:
             parents: Iterable[str] = d.pa_o(v.label)
         elif v.stage > i or i == 0:
-            parents = sorted(spec.of(v.label), key=d.position.__getitem__)
+            parents = kernel_parent_order(d, spec, v.label)
         else:
             union = set(d.pa_o(v.label)) | spec.of(v.label)
             parents = sorted(union, key=d.position.__getitem__)

@@ -17,6 +17,7 @@ from .diagram import (
     StrategyParentSpec,
     VarKind,
     full_history_spec,
+    kernel_parent_order,
     normalize_parents,
     parent_spec,
     staged_diagram,
@@ -24,7 +25,7 @@ from .diagram import (
 from .errors import InternalTheorem2Violation
 from .graph import Dag, build_dag
 from .prob import DiscreteModel, LossFunction
-from .stability import IdentifiabilityVerdict, check_assumptions, decide_identifiability
+from .stability import IdentifiabilityVerdict, decide_identifiability
 from .strategy import Strategy, make_stochastic
 
 
@@ -112,7 +113,7 @@ def random_strategy(
 ) -> Strategy:
     kernels = {}
     for a in d.actions:
-        parents = tuple(sorted(spec.of(a), key=d.position.__getitem__))
+        parents = kernel_parent_order(d, spec, a)
         pshape = tuple(states[p] for p in parents)
         n = states[a]
         if deterministic:
@@ -186,17 +187,16 @@ def theorem2_fuzz(seed: int, iters: int) -> FuzzResult:
         d = random_staged_diagram(rng, require_action_outcome_edge=True)
         spec = full_history_spec(d)
         dn = normalize_parents(d, spec)
-        assumptions = check_assumptions(dn, spec)
-        if not assumptions.passed:
-            violations.append(
-                "generator failed to establish the regularity assumptions: "
-                f"vars {[v.label for v in dn.vars]}"
-            )
-            continue
         try:
             decision = decide_identifiability(dn, spec)
         except InternalTheorem2Violation as exc:
             violations.append(str(exc))
+            continue
+        if not decision.assumptions.passed:
+            violations.append(
+                "generator failed to establish the regularity assumptions: "
+                f"vars {[v.label for v in dn.vars]}"
+            )
             continue
         if decision.verdict is IdentifiabilityVerdict.IDENTIFIED_SIMPLE:
             simple += 1

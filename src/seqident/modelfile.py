@@ -29,6 +29,7 @@ from .diagram import (
     StagedDiagram,
     StrategyParentSpec,
     VarKind,
+    kernel_parent_order,
     parent_spec,
     staged_diagram,
 )
@@ -402,7 +403,7 @@ def _bind_strategies(
         kernels: dict[str, np.ndarray] = {}
         ok = True
         for a, rows in mine.items():
-            canonical = tuple(sorted(spec.of(a), key=diagram.position.__getitem__))
+            canonical = kernel_parent_order(diagram, spec, a)
             n_own = states[a]
             if any(len(r) != n_own for _, r in rows.rows):
                 issues.append(

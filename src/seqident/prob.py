@@ -272,23 +272,17 @@ def ci_deviation(
     if set(xs) & set(ys) or set(xs) & set(zs) or set(ys) & set(zs):
         raise OverlappingSets("query sets must be pairwise disjoint")
     sub = marginal(j, xs + ys + zs)
-    x_axes = [sub.axis(v) for v in xs]
-    y_axes = [sub.axis(v) for v in ys]
-    z_axes = [sub.axis(v) for v in zs]
-    t = np.transpose(sub.table, x_axes + y_axes + z_axes)
-    nx = int(np.prod([t.shape[i] for i in range(len(x_axes))], initial=1))
-    ny = int(np.prod([t.shape[i] for i in range(len(x_axes), len(x_axes) + len(y_axes))], initial=1))
+    t = np.transpose(sub.table, [sub.axis(v) for v in xs + ys + zs])
+    nx = int(np.prod(t.shape[: len(xs)], initial=1))
+    ny = int(np.prod(t.shape[len(xs) : len(xs) + len(ys)], initial=1))
     t = t.reshape(nx, ny, -1)
     pz = t.sum(axis=(0, 1))
-    worst = 0.0
-    for kz in range(t.shape[2]):
-        if pz[kz] <= 0.0:
-            continue
-        pxy = t[:, :, kz] / pz[kz]
-        px = pxy.sum(axis=1)
-        py = pxy.sum(axis=0)
-        worst = max(worst, float(np.abs(pxy - np.outer(px, py)).max()))
-    return worst
+    seen = pz > 0.0
+    # z leads and y stays innermost, so each sum runs as it does on one z slice
+    pxy = np.moveaxis(t, 2, 0)[seen] / pz[seen, None, None]
+    px = pxy.sum(axis=2)
+    py = pxy.sum(axis=1)
+    return float(np.abs(pxy - px[:, :, None] * py[:, None, :]).max(initial=0.0))
 
 
 def ci_holds(
@@ -332,26 +326,20 @@ def check_positivity(m: DiscreteModel, d: StagedDiagram, s: Strategy) -> Positiv
         a_lab = d.action_label(i)
         cut = observed.index(a_lab)
         hist_vars = observed[:cut]
-        ndim = po.ndim
-        ps_hist = ps.sum(axis=tuple(range(cut, ndim)))
-        po_hist_a = po.sum(axis=tuple(range(cut + 1, ndim)))
-        pa_vars = s.parents_of(a_lab)
-        pa_idx = [hist_vars.index(p) for p in pa_vars]
-        for cfg in np.ndindex(*ps_hist.shape):
-            if ps_hist[cfg] <= 0.0:
-                continue
-            row = s.kernel_table(a_lab)[tuple(cfg[ix] for ix in pa_idx)]
-            history = tuple(zip(hist_vars, (int(c) for c in cfg)))
-            for a_state in range(row.shape[0]):
-                if row[a_state] <= 0.0:
-                    continue
-                if po_hist_a[cfg + (a_state,)] <= 0.0:
-                    reason = (
-                        "history never observed"
-                        if po_hist_a[cfg].sum() <= 0.0
-                        else "action never observed at this history"
-                    )
-                    issues.append(PositivityIssue(i, history, a_state, reason))
+        ps_hist = ps.sum(axis=tuple(range(cut, ps.ndim)))
+        po_hist_a = po.sum(axis=tuple(range(cut + 1, po.ndim)))
+        axes = [hist_vars.index(p) for p in s.parents_of(a_lab)] + [cut]
+        taken = _expand(s.kernel_table(a_lab), axes, cut + 1, po_hist_a.shape) > 0.0
+        unseen_history = po_hist_a.sum(axis=-1) <= 0.0
+        # argwhere walks C order: histories in index order, then action states
+        for *cfg, a_state in np.argwhere((ps_hist[..., None] > 0.0) & taken & (po_hist_a <= 0.0)):
+            cfg = tuple(int(c) for c in cfg)
+            reason = (
+                "history never observed"
+                if unseen_history[cfg]
+                else "action never observed at this history"
+            )
+            issues.append(PositivityIssue(i, tuple(zip(hist_vars, cfg)), int(a_state), reason))
     return PositivityReport(passed=not issues, issues=tuple(issues))
 
 

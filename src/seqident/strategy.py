@@ -9,7 +9,13 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .diagram import StagedDiagram, StrategyParentSpec, parent_spec, unconditional_spec
+from .diagram import (
+    StagedDiagram,
+    StrategyParentSpec,
+    kernel_parent_order,
+    parent_spec,
+    unconditional_spec,
+)
 from .errors import (
     EnumerationTooLarge,
     MissingConfiguration,
@@ -77,7 +83,7 @@ def _make(
     orders = []
     tables = []
     for a in actions:
-        parents = tuple(sorted(spec.of(a), key=d.position.__getitem__))
+        parents = kernel_parent_order(d, spec, a)
         table = np.asarray(kernels[a], dtype=float)
         _check_rows(a, table)
         orders.append(parents)
@@ -127,7 +133,7 @@ def make_deterministic(
     """
     kernels = {}
     for a in d.actions:
-        parents = tuple(sorted(spec.of(a), key=d.position.__getitem__))
+        parents = kernel_parent_order(d, spec, a)
         pshape = tuple(states[p] for p in parents)
         n = states[a]
         table = np.zeros(pshape + (n,))
@@ -152,7 +158,7 @@ def make_stochastic(
 ) -> Strategy:
     """Strategy from explicit kernel tables (shape checked against the spec)."""
     for a in d.actions:
-        parents = tuple(sorted(spec.of(a), key=d.position.__getitem__))
+        parents = kernel_parent_order(d, spec, a)
         want = tuple(states[p] for p in parents) + (states[a],)
         got = np.asarray(kernels[a]).shape
         if got != want:
@@ -208,8 +214,7 @@ class StrategyEnumeration:
 
     @cached_property
     def _parent_orders(self) -> tuple[tuple[str, ...], ...]:
-        d = self._d
-        return tuple(tuple(sorted(self._spec.of(a), key=d.position.__getitem__)) for a in d.actions)
+        return tuple(kernel_parent_order(self._d, self._spec, a) for a in self._d.actions)
 
     def _choices(self, idx: Sequence[int]) -> tuple[np.ndarray, ...]:
         """Decode strategy indices into chosen action states.

@@ -6,13 +6,17 @@ and an active-path separation test instead of moralisation.  The graph
 references further down are the label-based moralisation and breadth-first
 search, and the Kahn order with its cycle search, that ``seqident.graph``
 used before it worked on node ids; the id-based code must reproduce them
-exactly.
+exactly.  The last two are the per-configuration loops that
+``ci_deviation`` and ``check_positivity`` ran before they worked on whole
+arrays, and the array code must match them bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+
+import numpy as np
 
 from seqident import (
     Dag,
@@ -24,6 +28,7 @@ from seqident import (
     evaluate_g_recursion,
     kernel,
 )
+from seqident.prob import PositivityIssue, joint, marginal
 
 
 def path_d_separated(g: Dag, x: set[str], y: set[str], z: set[str]) -> bool:
@@ -294,3 +299,56 @@ def bruteforce_reference(oc, d, k, spec, cap=10**6) -> tuple[OptimizationResult,
     assert best_value is not None and argmax
     result = OptimizationResult(value=best_value, strategy=argmax[0], argmax=tuple(argmax))
     return result, values
+
+
+def ci_deviation_reference(j, x, y, z=()) -> float:
+    """The factorisation gap one conditioning configuration at a time, as
+    ``seqident.prob.ci_deviation`` computed it before it took every
+    positive-probability configuration in one array expression."""
+    xs, ys, zs = tuple(x), tuple(y), tuple(z)
+    sub = marginal(j, xs + ys + zs)
+    t = np.transpose(sub.table, [sub.axis(v) for v in xs + ys + zs])
+    nx = int(np.prod(t.shape[: len(xs)], initial=1))
+    ny = int(np.prod(t.shape[len(xs) : len(xs) + len(ys)], initial=1))
+    t = t.reshape(nx, ny, -1)
+    pz = t.sum(axis=(0, 1))
+    worst = 0.0
+    for kz in range(t.shape[2]):
+        if pz[kz] <= 0.0:
+            continue
+        pxy = t[:, :, kz] / pz[kz]
+        px = pxy.sum(axis=1)
+        py = pxy.sum(axis=0)
+        worst = max(worst, float(np.abs(pxy - np.outer(px, py)).max()))
+    return worst
+
+
+def positivity_issues_reference(m: DiscreteModel, d: StagedDiagram, s: Strategy) -> list:
+    """Support-inclusion issues by a loop over every reached history and
+    action state, in the order ``seqident.prob.check_positivity`` reports
+    them."""
+    observed = d.observed_labels
+    po = marginal(joint(m, d), observed).table
+    ps = marginal(joint(m, d, s), observed).table
+    issues = []
+    for i in range(1, d.n_stages + 1):
+        a_lab = d.action_label(i)
+        cut = observed.index(a_lab)
+        hist_vars = observed[:cut]
+        ps_hist = ps.sum(axis=tuple(range(cut, ps.ndim)))
+        po_hist_a = po.sum(axis=tuple(range(cut + 1, po.ndim)))
+        pa_idx = [hist_vars.index(p) for p in s.parents_of(a_lab)]
+        for cfg in np.ndindex(*ps_hist.shape):
+            if ps_hist[cfg] <= 0.0:
+                continue
+            row = s.kernel_table(a_lab)[tuple(cfg[ix] for ix in pa_idx)]
+            history = tuple(zip(hist_vars, (int(c) for c in cfg)))
+            for a_state in range(row.shape[0]):
+                if row[a_state] > 0.0 and po_hist_a[cfg + (a_state,)] <= 0.0:
+                    reason = (
+                        "history never observed"
+                        if po_hist_a[cfg].sum() <= 0.0
+                        else "action never observed at this history"
+                    )
+                    issues.append(PositivityIssue(i, history, a_state, reason))
+    return issues

@@ -337,6 +337,29 @@ class TestReport:
             assert calls == Counter(checks), argv
 
 
+# one valid command line per subcommand, and the flags each one reads
+_BASE_ARGV = {
+    "validate": ("validate", "fig2b.sid"),
+    "dsep": ("dsep", "fig2b.sid", "L2", "/", "Y", "/", "A1", "A2"),
+    "check": ("check", "fig2b.sid", "--all"),
+    "positivity": ("positivity", "fig2b.sid", "--strategy", "threshold"),
+    "evaluate": ("evaluate", "fig2b.sid", "--strategy", "threshold"),
+    "optimize": ("optimize", "fig2b.sid"),
+    "fuzz": ("fuzz", "--theorem2", "--iters", "1"),
+    "report": ("report", "fig2b.sid"),
+}
+_READ_FLAGS = {("dsep", "--tol"), ("dsep", "--dep-tol"), ("optimize", "--max-enum"),
+               ("report", "--tol")}
+
+
+def _without_sections(models_dir, tmp_path, drop) -> Path:
+    """fig2b.sid without the lines of the given section keywords."""
+    lines = (models_dir / "fig2b.sid").read_text().splitlines()
+    p = tmp_path / "partial.sid"
+    p.write_text("\n".join(ln for ln in lines if ln.split(" ", 1)[0] not in drop) + "\n")
+    return p
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 2
@@ -390,6 +413,44 @@ class TestUsage:
         argv = [str(models_dir / a) if a.endswith(".sid") else a for a in argv]
         _, out, err = run(capsys, *argv)
         assert err == "" and out.splitlines()[0] == line
+
+    @pytest.mark.parametrize("flag", ["--tol", "--dep-tol", "--max-enum"])
+    @pytest.mark.parametrize("command", sorted(_BASE_ARGV))
+    def test_flag_only_where_read(self, capsys, models_dir, command, flag):
+        argv = [str(models_dir / a) if a.endswith(".sid") else a for a in _BASE_ARGV[command]]
+        code, out, err = run(capsys, *argv, flag, "1")
+        if (command, flag) in _READ_FLAGS:
+            assert "unrecognized" not in err and code != 2
+        else:
+            assert code == 2 and out == ""
+            assert f"unrecognized arguments: {flag} 1" in err
+
+    def test_report_strategy_needs_cpt_and_loss(self, capsys, models_dir, tmp_path):
+        # fig2a.sid is graph only; the other file has cpt but no loss section
+        for p in (models_dir / "fig2a.sid", _without_sections(models_dir, tmp_path, ("loss",))):
+            code, out, err = run(capsys, "report", str(p), "--strategy", "nope")
+            assert code == 2 and out == ""
+            assert err == "report --strategy needs cpt and loss sections\n"
+
+    @pytest.mark.parametrize(
+        "argv, drop, message",
+        [
+            (("positivity", "--strategy", "threshold"), ("cpt", "strategy"),
+             "positivity needs a cpt section"),
+            (("evaluate", "--strategy", "threshold"), ("loss",),
+             "evaluate needs cpt and loss sections"),
+            (("optimize",), ("loss",), "optimize needs cpt and loss sections"),
+            (("optimize",), ("cpt", "strategy"), "optimize needs cpt and loss sections"),
+            (("dsep", "L2", "/", "Y", "/", "A1", "A2", "--numeric"), ("cpt", "strategy"),
+             "dsep --numeric needs a cpt section"),
+            (("dsep", "Y", "/", "sigma", "/", "A1", "A2", "L2", "--numeric"), ("strategy",),
+             "dsep --numeric needs cpt and strategy sections"),
+        ],
+    )
+    def test_missing_section_exit_two(self, capsys, models_dir, tmp_path, argv, drop, message):
+        p = _without_sections(models_dir, tmp_path, drop)
+        code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert code == 2 and out == "" and err == message + "\n"
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

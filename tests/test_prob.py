@@ -5,7 +5,10 @@ import pytest
 
 from seqident import (
     DiscreteModel,
+    JointTable,
+    VarKind,
     check_positivity,
+    ci_deviation,
     ci_holds,
     condition,
     expectation,
@@ -30,7 +33,13 @@ from seqident.fuzz import (
 )
 from seqident.strategy import from_observational
 
-from .oracles import brute_conditional, brute_expectation, brute_joint
+from .oracles import (
+    brute_conditional,
+    brute_expectation,
+    brute_joint,
+    ci_deviation_reference,
+    positivity_issues_reference,
+)
 
 
 class TestValidateModel:
@@ -308,6 +317,68 @@ class TestPositivity:
     def test_observational_policy_always_positive(self, fig2b, fig2b_model):
         s = from_observational(fig2b_model, fig2b)
         assert check_positivity(fig2b_model, fig2b, s).passed
+
+
+def _zero_columns(rng, m: DiscreteModel, d) -> DiscreteModel:
+    """Zero one state of some action and covariate CPT rows, renormalised, so
+    that histories and action states go unobserved."""
+    cpts = dict(m.cpts)
+    for v in d.vars:
+        if v.kind not in (VarKind.ACTION, VarKind.COVARIATE) or rng.random() < 0.4:
+            continue
+        table = cpts[v.label].copy()
+        rows = table.reshape(-1, table.shape[-1])
+        rows[rng.random(len(rows)) < 0.6, rng.integers(table.shape[-1])] = 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        cpts[v.label] = table
+    return DiscreteModel(states=m.states, cpts=cpts)
+
+
+def _random_query(rng, labels):
+    """Disjoint nonempty x and y and a possibly empty z, in random order."""
+    perm = [str(v) for v in rng.permutation(labels)]
+    a = int(rng.integers(1, len(perm) - 1))
+    b = int(rng.integers(a + 1, len(perm)))
+    k = int(rng.integers(b, len(perm) + 1))
+    return perm[:a], perm[a:b], perm[b:k]
+
+
+def test_array_cross_checks_match_loop_references():
+    # the one-mask positivity check and the one-expression factorisation gap
+    # reproduce the per-configuration loops exactly, issue order included
+    rng = np.random.default_rng(43)
+    issues = gaps = 0
+    for _ in range(60):
+        d = random_staged_diagram(rng)
+        m = _zero_columns(rng, random_model(rng, d), d)
+        s = random_strategy(
+            rng, d, random_parent_spec(rng, d), m.states, deterministic=bool(rng.random() < 0.5)
+        )
+        want = positivity_issues_reference(m, d, s)
+        report = check_positivity(m, d, s)
+        assert repr(report.issues) == repr(tuple(want)) and report.passed == (not want)
+        issues += len(want)
+        jt = regime_mixture_joint(m, d, s)
+        for _ in range(4):
+            x, y, z = _random_query(rng, jt.labels)
+            gap = ci_deviation(jt, x, y, z)
+            assert gap == ci_deviation_reference(jt, x, y, z), (x, y, z)
+            gaps += gap > 0.0
+    assert issues > 50 and gaps > 50
+
+
+def test_gap_matches_loop_reference_on_wide_tables():
+    # with eight or more y states numpy sums a contiguous row in another order
+    # than a strided one, so the array form must lay out each z slice as the
+    # loop did; near-independent tables make the gap pure rounding and show it
+    rng = np.random.default_rng(47)
+    labels = ("a", "b", "c", "e")
+    for _ in range(40):
+        table = np.einsum("ace,bce->abce", rng.random((3, 4, 5)), rng.random((10, 4, 5)))
+        table[..., rng.permutation(5)[:2]] = 0.0
+        jt = JointTable(labels, table / table.sum())
+        for x, y, z in [(["a"], ["b"], ["c", "e"]), _random_query(rng, labels)]:
+            assert ci_deviation(jt, x, y, z) == ci_deviation_reference(jt, x, y, z), (x, y, z)
 
 
 def test_regime_invariance_of_covariate_conditionals():
