@@ -48,7 +48,7 @@ from .fuzz import theorem2_fuzz
 from .graph import d_separated
 from .modelfile import ModelFileError, ParsedModelFile, ParseIssue, parse_model_file
 from .optimize import optimize_backward, optimize_bruteforce
-from .prob import check_positivity, ci_deviation, joint, regime_mixture_joint, validate_model
+from .prob import JointTable, _regime_marginal, check_positivity, ci_deviation, validate_model
 from .stability import (
     IdentificationReport,
     check_extended_stability,
@@ -202,7 +202,7 @@ def _cmd_dsep(args) -> int:
             groups[-1].append(tok)
     if len(groups) != 3:
         raise _UsageError("query must be '<x..> / <y..> / <z..>'")
-    x, y, z = groups
+    x, y, z = (list(dict.fromkeys(g)) for g in groups)  # each set names a label once
     uses_regime = REGIME in x + y + z
     g = augment_with_regime(pf.diagram) if uses_regime else pf.diagram.dag
     verdict = d_separated(g, x, y, z)
@@ -217,13 +217,9 @@ def _cmd_dsep(args) -> int:
 
 
 def _dsep_numeric(args, pf, x, y, z, uses_regime, separated) -> None:
-    """Cross-check the graph verdict on the file's joint."""
+    """Cross-check the graph verdict on the file's law of the query's variables."""
     _require(pf, "dsep --numeric", "cpt", *(["strategy"] if uses_regime else []))
-    if uses_regime:
-        jt = regime_mixture_joint(pf.model, pf.diagram, pf.strategies[0])
-    else:
-        jt = joint(pf.model, pf.diagram)
-    gap = ci_deviation(jt, x, y, z)
+    gap = _dsep_gap(pf, x, y, z)
     if separated:
         within = gap <= args.tol
         verdict = "independent" if within else "dependence above --tol"
@@ -231,6 +227,19 @@ def _dsep_numeric(args, pf, x, y, z, uses_regime, separated) -> None:
     else:
         felt = "felt" if gap > args.dep_tol else "below --dep-tol"
         print(f"numeric: dependence gap {gap:.3e} ({felt} at {args.dep_tol:.1e})")
+
+
+def _dsep_gap(pf: ParsedModelFile, x, y, z) -> float:
+    """``ci_deviation`` on the law of the query's variables alone.  A regime node
+    in the query carries the observational law in state 0 and the first
+    strategy's law in state 1, with mass 0.5 each, as in regime_mixture_joint."""
+    labels = tuple(v for v in x + y + z if v != REGIME)
+    table = _regime_marginal(pf.model, pf.diagram, None, labels)
+    if REGIME in x + y + z:
+        strat = _regime_marginal(pf.model, pf.diagram, pf.strategies[0], labels)
+        table = np.stack([0.5 * table, 0.5 * strat], axis=-1)
+        labels += (REGIME,)
+    return ci_deviation(JointTable(labels, table), x, y, z)
 
 
 def _cmd_check(args) -> int:

@@ -1,7 +1,7 @@
 """Strategy value three ways.
 
 ``evaluate_oracle`` reads the expectation straight off the strategy-regime
-joint and needs no identification assumption; it is the ground truth.
+outcome law and needs no identification assumption; it is the ground truth.
 ``evaluate_g_recursion`` only ever touches the observational covariate
 conditionals and the strategy itself, alternating an average over the
 strategy kernel with an average over the observational covariate law from
@@ -19,7 +19,16 @@ import numpy as np
 
 from .diagram import StagedDiagram
 from .errors import MaskedHistoryReachable, PositivityViolation
-from .prob import DiscreteModel, LossFunction, _expand, expectation, joint, marginal
+from .prob import (
+    DiscreteModel,
+    JointTable,
+    LossFunction,
+    _expand,
+    _regime_marginal,
+    expectation,
+    joint,
+    marginal,
+)
 from .strategy import Strategy
 
 
@@ -177,9 +186,14 @@ def evaluate_g_recursion(
 def evaluate_oracle(
     m: DiscreteModel, d: StagedDiagram, s: Strategy, k: LossFunction
 ) -> EvaluationResult:
-    """Ground truth: expectation under the strategy-regime joint."""
+    """Ground truth: expectation under the strategy regime.
+
+    The outcome's law is the strategy-regime joint summed down to the outcome,
+    computed by eliminating the other variables one at a time.
+    """
+    y = (d.outcome_label,)
     return EvaluationResult(
-        value=expectation(joint(m, d, s), k), method="oracle"
+        value=expectation(JointTable(y, _regime_marginal(m, d, s, y)), k), method="oracle"
     )
 
 
@@ -193,9 +207,8 @@ def evaluate_decomposition(
     """
     if not s.deterministic:
         raise ValueError("decomposition evaluation requires a deterministic strategy")
-    jt = joint(m, d, s)
     lvars = tuple(v for i in range(1, d.n_stages + 1) for v in d.covariate_labels(i))
-    sub = marginal(jt, lvars + (d.outcome_label,)).table
+    sub = _regime_marginal(m, d, s, lvars + (d.outcome_label,))
     pl = sub.sum(axis=-1)
     weighted = sub @ k.values  # sum_y k(y) p(l, y)
     safe = np.where(pl > 0.0, pl, 1.0)

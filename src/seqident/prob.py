@@ -1,17 +1,27 @@
-"""Exact discrete probability on dense tables.
+"""Exact discrete probability over products of conditional tables.
 
-Joint distributions are built as products of conditional probability tables
-over the diagram's total variable order.  Regimes only ever swap the action
-factors: the observational regime uses the recorded action kernels, a
+A distribution is the product of one conditional probability table per
+variable over the diagram's total variable order.  Regimes only ever swap the
+action factors: the observational regime uses the recorded action kernels, a
 strategy regime replaces them with the strategy's decision kernels, and the
 spliced distributions switch from one to the other at a given stage.  All
 other factors are regime-invariant by construction, which is exactly what
 makes the strategy joint the ground truth the identification checks talk
 about.
+
+Two ways to sum a product down.  ``joint``, ``mixed_joint_pi``,
+``regime_mixture_joint`` and ``dag_joint`` build the dense table over all
+variables; ``observational_conditionals`` reads the observed marginal off it.
+The oracle-side queries (``evaluate_oracle``, ``evaluate_decomposition``,
+``check_positivity``, ``check_theorem1_numeric`` and ``dsep --numeric``)
+instead go through ``_contract``, which sums the variables out one at a
+time and never holds a table over all of them.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -25,10 +35,13 @@ from .errors import (
     UnknownNode,
     ZeroProbabilityEvidence,
 )
-from .graph import Dag
+from .graph import MAX_NODES, Dag
 from .strategy import Strategy
 
 MAX_CELLS = 2**22
+# _contract names each variable by its position in np.einsum's sublist form,
+# which accepts at most 52 distinct labels
+assert MAX_NODES <= 52, "_contract needs at most 52 variables per contraction"
 ROW_SUM_TOL = 1e-12
 
 
@@ -149,6 +162,13 @@ def _expand(arr: np.ndarray, axes: Sequence[int], rank: int, shape: Sequence[int
     return arr_t.reshape(new_shape)
 
 
+def _check_cells(shape: Sequence[int]) -> None:
+    """The cap on the state space: the product of all state counts."""
+    cells = math.prod(shape)
+    if cells > MAX_CELLS:
+        raise StateSpaceTooLarge(f"{cells} cells exceed the cap of {MAX_CELLS}")
+
+
 def _product_joint(
     labels: Sequence[str],
     states: Mapping[str, int],
@@ -156,15 +176,47 @@ def _product_joint(
 ) -> JointTable:
     labels = tuple(labels)
     shape = tuple(states[lab] for lab in labels)
-    cells = 1
-    for s in shape:
-        cells *= s
-    if cells > MAX_CELLS:
-        raise StateSpaceTooLarge(f"{cells} cells exceed the cap of {MAX_CELLS}")
+    _check_cells(shape)
     out = np.ones(shape, dtype=float)
     for axes, arr in factors:
         out *= _expand(arr, axes, len(shape), shape)
     return JointTable(labels=labels, table=out)
+
+
+def _contract(
+    labels: Sequence[str],
+    states: Mapping[str, int],
+    factors: Iterable[tuple[tuple[int, ...], np.ndarray]],
+    keep: Sequence[str],
+) -> np.ndarray:
+    """The product of ``factors`` summed down to ``keep``, axes in ``keep`` order.
+
+    Factor axes index ``labels``, and every variable must appear in some
+    factor.  Variables are summed out one at a time (bucket elimination):
+    each step takes the dropped variable whose factors span the fewest cells,
+    ties to the lower position, multiplies only those factors and sums it
+    out.  No table over all variables is built, but the cap is the same as
+    the dense joint's.  The factors' dtype is kept.
+    """
+    sizes = [states[lab] for lab in labels]
+    _check_cells(sizes)
+    pos = {lab: i for i, lab in enumerate(labels)}
+    out = [pos[lab] for lab in keep]
+    pending = [(arr, tuple(axes)) for axes, arr in factors]
+    drop = set(range(len(sizes))) - set(out)
+    while drop:
+        scopes: dict[int, set[int]] = {v: set() for v in drop}
+        for _, axes in pending:
+            for a in axes:
+                if a in scopes:
+                    scopes[a].update(axes)
+        v = min(drop, key=lambda u: (math.prod(sizes[a] for a in scopes[u]), u))
+        merged = sorted(scopes[v] - {v})
+        used = [f for f in pending if v in f[1]]
+        pending = [f for f in pending if v not in f[1]]
+        pending.append((np.einsum(*itertools.chain.from_iterable(used), merged), tuple(merged)))
+        drop.remove(v)
+    return np.einsum(*itertools.chain.from_iterable(pending), out)
 
 
 def _spliced_factors(
@@ -183,6 +235,14 @@ def _spliced_factors(
         axes = tuple(pos[p] for p in parents) + (pos[v.label],)
         factors.append((axes, arr))
     return factors
+
+
+def _regime_marginal(
+    m: DiscreteModel, d: StagedDiagram, strategy: Strategy | None, keep: Sequence[str]
+) -> np.ndarray:
+    """``marginal(joint(m, d, strategy), keep)`` by contraction, axes in ``keep`` order."""
+    split = d.n_stages if strategy is None else 0
+    return _contract(d.labels, m.states, _spliced_factors(m, d, strategy, split), keep)
 
 
 def joint(m: DiscreteModel, d: StagedDiagram, strategy: Strategy | None = None) -> JointTable:
@@ -319,8 +379,8 @@ def check_positivity(m: DiscreteModel, d: StagedDiagram, s: Strategy) -> Positiv
     given that history.
     """
     observed = d.observed_labels
-    po = marginal(joint(m, d), observed).table
-    ps = marginal(joint(m, d, s), observed).table
+    po = _regime_marginal(m, d, None, observed)
+    ps = _regime_marginal(m, d, s, observed)
     issues: list[PositivityIssue] = []
     for i in range(1, d.n_stages + 1):
         a_lab = d.action_label(i)

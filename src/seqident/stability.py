@@ -26,7 +26,7 @@ from .diagram import (
 )
 from .errors import InternalTheorem2Violation
 from .graph import SeparationVerdict, ancestors, d_separated
-from .prob import DiscreteModel, marginal, mixed_joint_pi
+from .prob import DiscreteModel, _contract, _spliced_factors
 from .strategy import Strategy
 
 
@@ -185,12 +185,11 @@ def check_theorem1_numeric(
     hists = [d.actions_before(i + 1) + d.covariates_through(i) for i in range(1, n + 1)]
     laws: dict[tuple[int, int], np.ndarray] = {}  # (split, stage) -> joint of history and Y
     for j in range(n + 1):
-        # split j serves stages j and j + 1; only one spliced joint is alive at a time
-        jt = mixed_joint_pi(m, d, s, j)
+        # split j serves stages j and j + 1
+        factors = _spliced_factors(m, d, s, j)
         for i in (j, j + 1):
             if 1 <= i <= n:
-                laws[j, i] = marginal(jt, hists[i - 1] + (y,)).table
-        del jt
+                laws[j, i] = _contract(d.labels, m.states, factors, hists[i - 1] + (y,))
     entries = []
     for i, hist in enumerate(hists, start=1):
         left, right = laws[i - 1, i], laws[i, i]

@@ -6,9 +6,11 @@ and an active-path separation test instead of moralisation.  The graph
 references further down are the label-based moralisation and breadth-first
 search, and the Kahn order with its cycle search, that ``seqident.graph``
 used before it worked on node ids; the id-based code must reproduce them
-exactly.  The last two are the per-configuration loops that
-``ci_deviation`` and ``check_positivity`` ran before they worked on whole
-arrays, and the array code must match them bit for bit.
+exactly.  Then come the per-configuration loops that ``ci_deviation`` and
+``check_positivity`` ran before they worked on whole arrays, and the array
+code must match them bit for bit.  The last ones are the decomposition and
+the splice check as they ran on dense joints, before those queries summed
+variables out one at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from seqident import (
     evaluate_g_recursion,
     kernel,
 )
-from seqident.prob import PositivityIssue, joint, marginal
+from seqident.prob import PositivityIssue, joint, marginal, mixed_joint_pi
+from seqident.stability import CheckEntry, IdentificationReport
 
 
 def path_d_separated(g: Dag, x: set[str], y: set[str], z: set[str]) -> bool:
@@ -352,3 +355,46 @@ def positivity_issues_reference(m: DiscreteModel, d: StagedDiagram, s: Strategy)
                     )
                     issues.append(PositivityIssue(i, history, a_state, reason))
     return issues
+
+
+def decomposition_reference(m: DiscreteModel, d: StagedDiagram, s: Strategy, k) -> float:
+    """The covariate-marginal bracketing read off the dense strategy joint."""
+    lvars = tuple(v for i in range(1, d.n_stages + 1) for v in d.covariate_labels(i))
+    sub = marginal(joint(m, d, s), lvars + (d.outcome_label,)).table
+    pl = sub.sum(axis=-1)
+    weighted = sub @ k.values
+    safe = np.where(pl > 0.0, pl, 1.0)
+    return float(np.where(pl > 0.0, pl * (weighted / safe), 0.0).sum())
+
+
+def splice_reference(m: DiscreteModel, d: StagedDiagram, s: Strategy, tol: float):
+    """The splice check with both spliced joints built densely for every stage."""
+    y = d.outcome_label
+    entries = []
+    for i in range(1, d.n_stages + 1):
+        hist = d.actions_before(i + 1) + d.covariates_through(i)
+        left = marginal(mixed_joint_pi(m, d, s, i - 1), hist + (y,)).table
+        right = marginal(mixed_joint_pi(m, d, s, i), hist + (y,)).table
+        lden, rden = left.sum(axis=-1), right.sum(axis=-1)
+        both = (lden > 0.0) & (rden > 0.0)
+        dev = 0.0
+        if both.any():
+            dev = float(np.abs(left[both] / lden[both][:, None] - right[both] / rden[both][:, None]).max())
+        note = f"max deviation {dev:.3e}"
+        if (~both).sum():
+            note += f"; skipped {int((~both).sum())} zero-probability histories"
+        query = f"outcome law given {', '.join(hist) or 'nothing'} invariant to stage-{i} splice"
+        entries.append(CheckEntry(i, query, dev <= tol, None, note))
+    return IdentificationReport(check="splice-agreement", entries=tuple(entries))
+
+
+def splice_parts(report) -> tuple[list, list[float]]:
+    """A splice report split into the parts that must match exactly and the
+    printed deviations, whose last digits depend on the summation order."""
+    exact: list = [report.check, report.notes]
+    deviations = []
+    for e in report.entries:
+        dev, _, skipped = e.note.partition("; ")
+        exact.append((e.index, e.query, e.passed, e.verdict, skipped))
+        deviations.append(float(dev.removeprefix("max deviation ")))
+    return exact, deviations

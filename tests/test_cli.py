@@ -75,6 +75,14 @@ class TestDsep:
         assert code == 1
         assert "sigma - U1 - L2" in out
 
+    def test_repeated_label_counts_once(self, capsys, models_dir):
+        # a query set names each label once, so a repeat changes no line
+        f = str(models_dir / "fig2b.sid")
+        for x, y, z in [("L2", "Y", "A1 A2"), ("L2", "sigma", "A1")]:
+            once = run(capsys, "dsep", f, x, "/", y, "/", *z.split(), "--numeric")
+            twice = run(capsys, "dsep", f, x, x, "/", y, y, "/", *z.split() * 2, "--numeric")
+            assert twice == once and "numeric:" in once[1]
+
     def test_unknown_node_usage_error(self, capsys, models_dir):
         code, _, err = run(capsys, "dsep", str(models_dir / "fig2a.sid"), "Q", "/", "Y", "/")
         assert code == 2

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -24,8 +27,16 @@ from seqident import (
     unconditional_spec,
     validate_model,
 )
+from seqident import prob
+from seqident.cli import _dsep_gap
+from seqident.diagram import REGIME
 from seqident.errors import StageOutOfRange, StateSpaceTooLarge, ZeroProbabilityEvidence
+from seqident.evaluate import evaluate_decomposition, evaluate_oracle
+from seqident.graph import MAX_NODES
+from seqident.modelfile import ParsedModelFile
+from seqident.stability import check_theorem1_numeric
 from seqident.fuzz import (
+    random_loss,
     random_model,
     random_parent_spec,
     random_staged_diagram,
@@ -38,7 +49,10 @@ from .oracles import (
     brute_expectation,
     brute_joint,
     ci_deviation_reference,
+    decomposition_reference,
     positivity_issues_reference,
+    splice_parts,
+    splice_reference,
 )
 
 
@@ -409,3 +423,149 @@ def test_regime_invariance_of_covariate_conditionals():
                 co = condition(jo, block, ev)
                 cs = condition(js, block, ev)
                 assert np.allclose(co.table, cs.table, atol=1e-9)
+
+
+def test_contraction_matches_dense_path():
+    # every query that sums variables out one at a time agrees with the same
+    # query read off the dense joint: values to rounding, positivity issues
+    # exactly, splice reports exactly but for the printed deviation
+    rng = np.random.default_rng(53)
+    issues = skipped = regime_queries = 0
+    for _ in range(30):
+        d = random_staged_diagram(rng)
+        base = random_model(rng, d)
+        for m in (base, _zero_columns(rng, base, d)):
+            deterministic = bool(rng.random() < 0.5)
+            s = random_strategy(rng, d, random_parent_spec(rng, d), m.states, deterministic)
+            k = random_loss(rng, m.states, d.outcome_label)
+            assert evaluate_oracle(m, d, s, k).value == pytest.approx(
+                expectation(joint(m, d, s), k), rel=0.0, abs=1e-12
+            )
+            if deterministic:
+                assert evaluate_decomposition(m, d, s, k).value == pytest.approx(
+                    decomposition_reference(m, d, s, k), rel=0.0, abs=1e-12
+                )
+            want = positivity_issues_reference(m, d, s)
+            assert repr(check_positivity(m, d, s).issues) == repr(tuple(want))
+            issues += len(want)
+            got_exact, got_dev = splice_parts(check_theorem1_numeric(m, d, s, tol=1e-6))
+            want_exact, want_dev = splice_parts(splice_reference(m, d, s, 1e-6))
+            assert got_exact == want_exact
+            assert got_dev == pytest.approx(want_dev, rel=0.0, abs=1e-14)
+            skipped += any(part[-1] for part in got_exact[2:])
+            pf = ParsedModelFile(diagram=d, model=m, strategies=(s,), loss=k)
+            for _ in range(3):
+                x, y, z = _random_query(rng, d.labels + (REGIME,))
+                dense = regime_mixture_joint(m, d, s) if REGIME in x + y + z else joint(m, d)
+                assert _dsep_gap(pf, x, y, z) == pytest.approx(
+                    ci_deviation(dense, x, y, z), rel=0.0, abs=1e-12
+                ), (x, y, z)
+                regime_queries += REGIME in x + y + z
+    assert issues > 20 and skipped > 5 and regime_queries > 20
+
+
+def _chain_model(over: bool) -> tuple:
+    """One stage with MAX_NODES variables, a chain of hidden ones: exactly
+    MAX_CELLS cells (22 binary variables and two unary ones), or three times
+    as many with the first variable ternary."""
+    hidden = [f"U{j}" for j in range(1, MAX_NODES - 2)]
+    variables = [(u, "hidden", 1) for u in hidden]
+    variables += [("L1", "covariate", 1), ("A1", "action", 1), ("Y", "outcome", 2)]
+    edges = list(zip(hidden, hidden[1:])) + [(hidden[-1], "L1"), ("L1", "A1"), ("A1", "Y")]
+    edges.append((hidden[-1], "Y"))
+    d = staged_diagram(1, variables, edges)
+    states = {v.label: 2 for v in d.vars}
+    states["U1"], states["U2"] = (3 if over else 1), 1
+    rng = np.random.default_rng(5)
+    cpts = {}
+    for v in d.vars:
+        rows = rng.uniform(0.1, 1.0, size=[states[p] for p in d.parents[v.label]] + [states[v.label]])
+        cpts[v.label] = rows / rows.sum(axis=-1, keepdims=True)
+    s = random_strategy(rng, d, full_history_spec(d), states)
+    return DiscreteModel(states, cpts), d, s, loss_function([0.0, 1.0], "Y")
+
+
+def _fraction_model(rng, d):
+    """Random CPTs as exact fractions in object arrays."""
+    states = {v.label: int(rng.choice((2, 3))) for v in d.vars}
+    cpts = {}
+    for v in d.vars:
+        shape = tuple(states[p] for p in d.parents[v.label]) + (states[v.label],)
+        weights = rng.integers(1, 10, size=shape)
+        table = np.empty(shape, dtype=object)
+        for cfg in np.ndindex(*shape):
+            table[cfg] = Fraction(int(weights[cfg]), int(weights[cfg[:-1]].sum()))
+        cpts[v.label] = table
+    return DiscreteModel(states, cpts)
+
+
+class TestContract:
+    def test_cap_as_dense_joint(self):
+        # also the largest diagram: np.einsum's sublist form takes at most 52 labels
+        m, d, s, k = _chain_model(over=False)
+        assert len(d.vars) == MAX_NODES and np.prod(list(m.states.values())) == prob.MAX_CELLS
+        assert 0.0 <= evaluate_oracle(m, d, s, k).value <= 1.0
+        assert check_positivity(m, d, s).passed
+        assert len(check_theorem1_numeric(m, d, s).entries) == 1
+        m, d, s, k = _chain_model(over=True)
+        assert np.prod(list(m.states.values())) > prob.MAX_CELLS
+        for query in (evaluate_oracle, check_positivity, check_theorem1_numeric):
+            with pytest.raises(StateSpaceTooLarge):
+                query(m, d, s, *([k] if query is evaluate_oracle else []))
+
+    def test_keep_everything_or_nothing(self):
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            d = random_staged_diagram(rng)
+            m = random_model(rng, d)
+            s = random_strategy(rng, d, random_parent_spec(rng, d), m.states)
+            for strategy in (None, s):
+                dense = joint(m, d, strategy)
+                assert np.allclose(
+                    prob._regime_marginal(m, d, strategy, d.labels), dense.table, rtol=0.0, atol=1e-15
+                )
+                keep = [str(v) for v in rng.permutation(d.labels)]
+                assert np.allclose(
+                    prob._regime_marginal(m, d, strategy, keep),
+                    np.transpose(dense.table, [dense.axis(v) for v in keep]),
+                    rtol=0.0,
+                    atol=1e-15,
+                )
+                assert prob._regime_marginal(m, d, strategy, ()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_exact_on_fractions(self):
+        rng = np.random.default_rng(67)
+        for _ in range(10):
+            d = random_staged_diagram(rng, max_stages=2, max_extra=2)
+            m = _fraction_model(rng, d)
+            keep = [str(v) for v in rng.permutation(d.labels)[: int(rng.integers(0, 4))]]
+            want: dict = {}
+            for cfg in itertools.product(*(range(m.states[v]) for v in d.labels)):
+                env = dict(zip(d.labels, cfg))
+                p = Fraction(1)
+                for v in d.labels:
+                    p *= m.cpts[v][tuple(env[q] for q in d.parents[v]) + (env[v],)]
+                key = tuple(env[v] for v in keep)
+                want[key] = want.get(key, Fraction(0)) + p
+            got = np.asarray(prob._regime_marginal(m, d, None, keep))
+            assert got.dtype == object
+            assert {cfg: got[cfg] for cfg in np.ndindex(*got.shape)} == want
+            assert all(type(p) is Fraction for p in got.flat)
+
+    def test_no_dense_joint(self, monkeypatch, fig2a, bite_model):
+        # every dense builder goes through _product_joint
+        def dense(*args):
+            raise AssertionError("dense joint built")
+
+        rng = np.random.default_rng(71)
+        s = random_strategy(rng, fig2a, full_history_spec(fig2a), bite_model.states, True)
+        k = loss_function([0.0, 1.0], "Y")
+        pf = ParsedModelFile(diagram=fig2a, model=bite_model, strategies=(s,), loss=k)
+        monkeypatch.setattr(prob, "_product_joint", dense)
+        evaluate_oracle(bite_model, fig2a, s, k)
+        evaluate_decomposition(bite_model, fig2a, s, k)
+        check_positivity(bite_model, fig2a, s)
+        check_theorem1_numeric(bite_model, fig2a, s)
+        _dsep_gap(pf, ["L2"], [REGIME], ["A1"])
+        with pytest.raises(AssertionError, match="dense joint built"):
+            joint(bite_model, fig2a, s)

@@ -25,6 +25,8 @@ from seqident.fuzz import (
     random_strategy,
 )
 
+from .oracles import splice_parts, splice_reference
+
 
 class TestSimpleStability:
     def test_fails_on_hidden_confounder(self, fig2a):
@@ -174,7 +176,13 @@ class TestTheorem1Numeric:
         assert any("skipped" in e.note for e in r.entries)
 
     def test_each_split_built_once(self, monkeypatch, fig2a, bite_model, fig2b, fig2b_model):
+        # each split's factors are built once and contracted for the stages it
+        # serves; no dense joint is built (every dense builder goes through
+        # _product_joint).  The contraction sums in another order than the
+        # dense reference, so the printed deviations may differ at rounding
+        # level and are compared within 1e-14; everything else is exact.
         from seqident import DiscreteModel
+        from seqident import prob
         from seqident.fuzz import random_model
 
         zeroed = DiscreteModel(states=dict(fig2b_model.states), cpts=dict(fig2b_model.cpts))
@@ -185,45 +193,31 @@ class TestTheorem1Numeric:
             d = random_staged_diagram(rng, max_stages=3)
             cases.append((random_model(rng, d, state_choices=(2,)), d))
         splits = []
-        orig = stability.mixed_joint_pi
+        orig = stability._spliced_factors
 
         def counted(m, d, s, i):
             splits.append(i)
             return orig(m, d, s, i)
 
+        def dense(*args):
+            raise AssertionError("dense joint built")
+
+        skipped = 0
         for m, d in cases:
             s = random_strategy(rng, d, random_parent_spec(rng, d), m.states)
-            want = _splice_reference(m, d, s, 1e-6)
+            want = splice_reference(m, d, s, 1e-6)
             splits.clear()
-            monkeypatch.setattr(stability, "mixed_joint_pi", counted)
-            got = check_theorem1_numeric(m, d, s, tol=1e-6)
-            monkeypatch.setattr(stability, "mixed_joint_pi", orig)
+            with monkeypatch.context() as patch:
+                patch.setattr(stability, "_spliced_factors", counted)
+                patch.setattr(prob, "_product_joint", dense)
+                got = check_theorem1_numeric(m, d, s, tol=1e-6)
             assert splits == list(range(d.n_stages + 1))
-            assert got == want
-
-
-def _splice_reference(m, d, s, tol):
-    """The splice check with both spliced joints built afresh for every stage."""
-    from seqident import marginal, mixed_joint_pi
-    from seqident.stability import CheckEntry, IdentificationReport
-
-    y = d.outcome_label
-    entries = []
-    for i in range(1, d.n_stages + 1):
-        hist = d.actions_before(i + 1) + d.covariates_through(i)
-        left = marginal(mixed_joint_pi(m, d, s, i - 1), hist + (y,)).table
-        right = marginal(mixed_joint_pi(m, d, s, i), hist + (y,)).table
-        lden, rden = left.sum(axis=-1), right.sum(axis=-1)
-        both = (lden > 0.0) & (rden > 0.0)
-        dev = 0.0
-        if both.any():
-            dev = float(np.abs(left[both] / lden[both][:, None] - right[both] / rden[both][:, None]).max())
-        note = f"max deviation {dev:.3e}"
-        if (~both).sum():
-            note += f"; skipped {int((~both).sum())} zero-probability histories"
-        query = f"outcome law given {', '.join(hist) or 'nothing'} invariant to stage-{i} splice"
-        entries.append(CheckEntry(i, query, dev <= tol, None, note))
-    return IdentificationReport(check="splice-agreement", entries=tuple(entries))
+            got_exact, got_dev = splice_parts(got)
+            want_exact, want_dev = splice_parts(want)
+            assert got_exact == want_exact
+            assert got_dev == pytest.approx(want_dev, rel=0.0, abs=1e-14)
+            skipped += any("skipped" in e.note for e in got.entries)
+        assert skipped
 
 
 class TestDecide:
