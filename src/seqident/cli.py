@@ -48,7 +48,14 @@ from .fuzz import theorem2_fuzz
 from .graph import d_separated
 from .modelfile import ModelFileError, ParsedModelFile, ParseIssue, parse_model_file
 from .optimize import optimize_backward, optimize_bruteforce
-from .prob import JointTable, _regime_marginal, check_positivity, ci_deviation, validate_model
+from .prob import (
+    JointTable,
+    _regime_marginal,
+    _regime_mixture,
+    check_positivity,
+    ci_deviation,
+    validate_model,
+)
 from .stability import (
     IdentificationReport,
     check_extended_stability,
@@ -231,14 +238,13 @@ def _dsep_numeric(args, pf, x, y, z, uses_regime, separated) -> None:
 
 def _dsep_gap(pf: ParsedModelFile, x, y, z) -> float:
     """``ci_deviation`` on the law of the query's variables alone.  A regime node
-    in the query carries the observational law in state 0 and the first
-    strategy's law in state 1, with mass 0.5 each, as in regime_mixture_joint."""
+    in the query mixes the observational law with the first strategy's."""
     labels = tuple(v for v in x + y + z if v != REGIME)
-    table = _regime_marginal(pf.model, pf.diagram, None, labels)
     if REGIME in x + y + z:
-        strat = _regime_marginal(pf.model, pf.diagram, pf.strategies[0], labels)
-        table = np.stack([0.5 * table, 0.5 * strat], axis=-1)
+        table = _regime_mixture(pf.model, pf.diagram, pf.strategies[0], labels)
         labels += (REGIME,)
+    else:
+        table = _regime_marginal(pf.model, pf.diagram, None, labels)
     return ci_deviation(JointTable(labels, table), x, y, z)
 
 
@@ -379,22 +385,35 @@ def _cmd_report(args) -> int:
         doc["value"] = None
         doc["strategy_table"] = None
         if pf.model is not None and pf.loss is not None:
-            oc = observational_conditionals(pf.model, d)
-            if args.strategy is not None:
-                s = pf.strategy(args.strategy)
-                doc["value"] = evaluate_g_recursion(oc, s, pf.loss).value
-                doc["reports"].append(
-                    _report_dict(check_theorem1_numeric(pf.model, d, s, tol=args.tol))
-                )
+            s = None if args.strategy is None else pf.strategy(args.strategy)
+            # a numeric step that fails leaves its error in the field it would
+            # have filled; the reports and verdict above stand
             try:
-                opt = optimize_backward(oc, d, pf.loss, full_history_spec(d))
+                oc = observational_conditionals(pf.model, d)
             except SeqidentError as exc:
+                code = 1
                 doc["strategy_table"] = {"error": str(exc)}
+                if s is not None:
+                    doc["value"] = {"error": str(exc)}
             else:
-                doc["strategy_table"] = {
-                    "value": opt.value,
-                    "choices": {a: t.tolist() for a, t in opt.choices.items()},
-                }
+                if s is not None:
+                    try:
+                        doc["value"] = evaluate_g_recursion(oc, s, pf.loss).value
+                    except SeqidentError as exc:
+                        code = 1
+                        doc["value"] = {"error": str(exc)}
+                    doc["reports"].append(
+                        _report_dict(check_theorem1_numeric(pf.model, d, s, tol=args.tol))
+                    )
+                try:
+                    opt = optimize_backward(oc, d, pf.loss, full_history_spec(d))
+                except SeqidentError as exc:
+                    doc["strategy_table"] = {"error": str(exc)}
+                else:
+                    doc["strategy_table"] = {
+                        "value": opt.value,
+                        "choices": {a: t.tolist() for a, t in opt.choices.items()},
+                    }
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
@@ -404,7 +423,9 @@ def _cmd_report(args) -> int:
             for rd in doc["reports"]:
                 _print_report(rd)
             print(f"verdict: {doc['verdict']}")
-            if doc["value"] is not None:
+            if isinstance(doc["value"], dict):
+                print(f"evaluate: {doc['value']['error']}")
+            elif doc["value"] is not None:
                 print(f"value {doc['value']!r}")
             if doc["strategy_table"] is not None:
                 if "value" in doc["strategy_table"]:

@@ -9,13 +9,13 @@ other factors are regime-invariant by construction, which is exactly what
 makes the strategy joint the ground truth the identification checks talk
 about.
 
-Two ways to sum a product down.  ``joint``, ``mixed_joint_pi``,
-``regime_mixture_joint`` and ``dag_joint`` build the dense table over all
-variables; ``observational_conditionals`` reads the observed marginal off it.
+One way to sum a product down: ``_contract`` eliminates the dropped
+variables one at a time and multiplies what is left over the kept ones.
 The oracle-side queries (``evaluate_oracle``, ``evaluate_decomposition``,
 ``check_positivity``, ``check_theorem1_numeric`` and ``dsep --numeric``)
-instead go through ``_contract``, which sums the variables out one at a
-time and never holds a table over all of them.
+keep a few variables.  The dense builders (``joint``, ``mixed_joint_pi``,
+``regime_mixture_joint`` and ``dag_joint``) keep every variable, so their
+table is the plain product; ``observational_conditionals`` reads it.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def validate_model(m: DiscreteModel, d: StagedDiagram) -> tuple[ModelIssue, ...]
 
 def _expand(arr: np.ndarray, axes: Sequence[int], rank: int, shape: Sequence[int]) -> np.ndarray:
     """Place arr's axes at the given positions of a rank-`rank` broadcast shape."""
-    order = np.argsort(axes)
+    order = sorted(range(len(axes)), key=axes.__getitem__)  # np.argsort costs more on a few axes
     arr_t = np.transpose(arr, order)
     new_shape = [1] * rank
     for pos, ax in enumerate(sorted(axes)):
@@ -162,25 +162,17 @@ def _expand(arr: np.ndarray, axes: Sequence[int], rank: int, shape: Sequence[int
     return arr_t.reshape(new_shape)
 
 
-def _check_cells(shape: Sequence[int]) -> None:
-    """The cap on the state space: the product of all state counts."""
-    cells = math.prod(shape)
-    if cells > MAX_CELLS:
-        raise StateSpaceTooLarge(f"{cells} cells exceed the cap of {MAX_CELLS}")
-
-
-def _product_joint(
-    labels: Sequence[str],
-    states: Mapping[str, int],
-    factors: Iterable[tuple[tuple[int, ...], np.ndarray]],
-) -> JointTable:
-    labels = tuple(labels)
-    shape = tuple(states[lab] for lab in labels)
-    _check_cells(shape)
-    out = np.ones(shape, dtype=float)
-    for axes, arr in factors:
-        out *= _expand(arr, axes, len(shape), shape)
-    return JointTable(labels=labels, table=out)
+def _product(factors: list, scope: Sequence[int], sizes: Sequence[int]) -> np.ndarray:
+    """The product of ``(table, axes)`` factors over ``scope``, axes in ``scope``
+    order: each factor broadcast and multiplied in place, in factor order, so
+    the cells do not depend on the scope's order.  The factors' dtype is kept."""
+    shape = tuple(sizes[a] for a in scope)
+    at = {a: k for k, a in enumerate(scope)}
+    # np.einsum gives a 0-d object product as a bare Python object
+    out = np.ones(shape, dtype=np.result_type(*(np.asarray(arr) for arr, _ in factors)))
+    for arr, axes in factors:
+        out *= _expand(arr, [at[a] for a in axes], len(shape), shape)
+    return out
 
 
 def _contract(
@@ -195,11 +187,14 @@ def _contract(
     factor.  Variables are summed out one at a time (bucket elimination):
     each step takes the dropped variable whose factors span the fewest cells,
     ties to the lower position, multiplies only those factors and sums it
-    out.  No table over all variables is built, but the cap is the same as
-    the dense joint's.  The factors' dtype is kept.
+    out; ``_product`` multiplies what is left.  No table over all variables
+    is built unless ``keep`` names them all, but the cap is the product of all
+    state counts either way.  The factors' dtype is kept.
     """
     sizes = [states[lab] for lab in labels]
-    _check_cells(sizes)
+    cells = math.prod(sizes)
+    if cells > MAX_CELLS:
+        raise StateSpaceTooLarge(f"{cells} cells exceed the cap of {MAX_CELLS}")
     pos = {lab: i for i, lab in enumerate(labels)}
     out = [pos[lab] for lab in keep]
     pending = [(arr, tuple(axes)) for axes, arr in factors]
@@ -216,7 +211,7 @@ def _contract(
         pending = [f for f in pending if v not in f[1]]
         pending.append((np.einsum(*itertools.chain.from_iterable(used), merged), tuple(merged)))
         drop.remove(v)
-    return np.einsum(*itertools.chain.from_iterable(pending), out)
+    return _product(pending, out, sizes)
 
 
 def _spliced_factors(
@@ -245,35 +240,39 @@ def _regime_marginal(
     return _contract(d.labels, m.states, _spliced_factors(m, d, strategy, split), keep)
 
 
+def _regime_mixture(
+    m: DiscreteModel, d: StagedDiagram, s: Strategy, keep: Sequence[str]
+) -> np.ndarray:
+    """The law of ``keep`` and the regime node (last axis): state 0 carries the
+    observational law and state 1 the strategy's, with mass 0.5 each."""
+    obs = _regime_marginal(m, d, None, keep)
+    strat = _regime_marginal(m, d, s, keep)
+    return np.stack([0.5 * obs, 0.5 * strat], axis=-1)
+
+
 def joint(m: DiscreteModel, d: StagedDiagram, strategy: Strategy | None = None) -> JointTable:
     """Full joint under the observational regime, or under a strategy regime.
 
     Under a strategy every action factor is replaced by the strategy kernel;
     covariate, hidden, and outcome factors are kept unchanged.
     """
-    split = d.n_stages if strategy is None else 0
-    return _product_joint(d.labels, m.states, _spliced_factors(m, d, strategy, split))
+    return JointTable(d.labels, _regime_marginal(m, d, strategy, d.labels))
 
 
 def mixed_joint_pi(m: DiscreteModel, d: StagedDiagram, s: Strategy, i: int) -> JointTable:
     """Spliced joint: observational factors through stage i, strategy after."""
     if not 0 <= i <= d.n_stages:
         raise StageOutOfRange(f"stage {i} not in 0..{d.n_stages}")
-    return _product_joint(d.labels, m.states, _spliced_factors(m, d, s, i))
+    return JointTable(d.labels, _contract(d.labels, m.states, _spliced_factors(m, d, s, i), d.labels))
 
 
-def regime_mixture_joint(
-    m: DiscreteModel, d: StagedDiagram, s: Strategy, weight: float = 0.5
-) -> JointTable:
+def regime_mixture_joint(m: DiscreteModel, d: StagedDiagram, s: Strategy) -> JointTable:
     """Joint over the diagram variables plus the regime indicator.
 
     State 0 of the regime node carries the observational joint with mass
-    ``weight``, state 1 the strategy joint with the rest.
+    0.5, state 1 the strategy joint with the rest.
     """
-    obs = joint(m, d).table
-    strat = joint(m, d, s).table
-    table = np.stack([weight * obs, (1.0 - weight) * strat], axis=-1)
-    return JointTable(labels=d.labels + (REGIME,), table=table)
+    return JointTable(d.labels + (REGIME,), _regime_mixture(m, d, s, d.labels))
 
 
 def marginal(j: JointTable, keep: Iterable[str]) -> JointTable:
@@ -414,4 +413,4 @@ def dag_joint(
     for nid, lab in enumerate(dag.labels):
         axes = tuple(dag.parents[nid]) + (nid,)
         factors.append((axes, cpts[lab]))
-    return _product_joint(dag.labels, states, factors)
+    return JointTable(dag.labels, _contract(dag.labels, states, factors, dag.labels))

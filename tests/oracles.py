@@ -8,9 +8,11 @@ search, and the Kahn order with its cycle search, that ``seqident.graph``
 used before it worked on node ids; the id-based code must reproduce them
 exactly.  Then come the per-configuration loops that ``ci_deviation`` and
 ``check_positivity`` ran before they worked on whole arrays, and the array
-code must match them bit for bit.  The last ones are the decomposition and
-the splice check as they ran on dense joints, before those queries summed
-variables out one at a time.
+code must match them bit for bit.  Then come the decomposition and the
+splice check as they ran on dense joints, before those queries summed
+variables out one at a time.  The last one is the dense product as it was
+built before every table went through ``prob._contract``; the dense
+builders must reproduce it bit for bit.
 """
 
 from __future__ import annotations
@@ -398,3 +400,16 @@ def splice_parts(report) -> tuple[list, list[float]]:
         exact.append((e.index, e.query, e.passed, e.verdict, skipped))
         deviations.append(float(dev.removeprefix("max deviation ")))
     return exact, deviations
+
+
+def product_joint_reference(labels, states, factors) -> np.ndarray:
+    """A float table of ones over ``labels``, times each ``(axes, table)``
+    factor in turn, broadcast and multiplied in place."""
+    shape = tuple(states[lab] for lab in labels)
+    out = np.ones(shape, dtype=float)
+    for axes, arr in factors:
+        view = [1] * len(shape)
+        for ax in axes:
+            view[ax] = shape[ax]
+        out *= np.transpose(arr, np.argsort(axes)).reshape(view)
+    return out

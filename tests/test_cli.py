@@ -344,6 +344,51 @@ class TestReport:
             run(capsys, *argv)
             assert calls == Counter(checks), argv
 
+    @pytest.mark.parametrize("strategy", [None, "low"])
+    def test_over_cap_keeps_verdict(self, capsys, tmp_path, strategy):
+        # one stage with 15 ternary covariates is identified by the graph
+        # alone, but its 3**15 * 4 cells exceed the cap of every numeric step
+        lines = ["stages 1", "var A1 action stage=1", "var Y outcome stage=2", "edge A1 -> Y"]
+        for k in range(1, 16):
+            lines += [f"var L{k} covariate stage=1", f"cpt L{k} | - : 0.2 0.3 0.5"]
+        lines += ["cpt A1 | - : 0.5 0.5", "cpt Y | A1 : 0.9 0.1", "cpt Y | A1 : 0.2 0.8"]
+        lines += ["strategy low A1 | - : 1 0", "loss : 0 1"]
+        p = tmp_path / "wide.sid"
+        p.write_text("\n".join(lines) + "\n")
+        extra = [] if strategy is None else ["--strategy", strategy]
+        error = {"error": "57395628 cells exceed the cap of 4194304"}
+        code, out, err = run(capsys, "report", str(p), *extra)
+        assert code == 1 and err == ""
+        want = ["verdict: IdentifiedSimple"]
+        want += [] if strategy is None else [f"evaluate: {error['error']}"]
+        want += [f"optimize: {error['error']}"]
+        assert out.splitlines()[-len(want):] == want
+        code, out, err = run(capsys, "report", str(p), "--format", "json", *extra)
+        doc = json.loads(out)
+        assert code == 1 and err == ""
+        assert doc["verdict"] == "IdentifiedSimple"
+        assert doc["strategy_table"] == error
+        assert doc["value"] == (None if strategy is None else error)
+
+    def test_positivity_violation_keeps_verdict(self, capsys, models_dir, tmp_path):
+        # the observational first action is always 0; both-high takes 1
+        text = (models_dir / "fig2b.sid").read_text()
+        for row in ("0.7 0.3", "0.4 0.6"):
+            text = text.replace(f"cpt A1 | L1 : {row}", "cpt A1 | L1 : 1 0")
+        p = tmp_path / "never.sid"
+        p.write_text(text)
+        message = "stage 1: action state 1 has zero observational probability at reachable history L1=0"
+        code, out, err = run(capsys, "report", str(p), "--strategy", "both-high")
+        assert code == 1 and err == ""
+        assert "[splice-agreement] PASS" in out
+        assert out.splitlines()[-3:-1] == ["verdict: IdentifiedSimple", f"evaluate: {message}"]
+        code, out, err = run(capsys, "report", str(p), "--strategy", "both-high", "--format", "json")
+        doc = json.loads(out)
+        assert code == 1 and err == ""
+        assert doc["verdict"] == "IdentifiedSimple"
+        assert doc["reports"][-1]["check"] == "splice-agreement"
+        assert doc["value"] == {"error": message}
+
 
 # one valid command line per subcommand, and the flags each one reads
 _BASE_ARGV = {

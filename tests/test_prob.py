@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from seqident import (
     ci_deviation,
     ci_holds,
     condition,
+    dag_joint,
     expectation,
     full_history_spec,
     joint,
@@ -27,7 +29,7 @@ from seqident import (
     unconditional_spec,
     validate_model,
 )
-from seqident import prob
+from seqident import prob, stability
 from seqident.cli import _dsep_gap
 from seqident.diagram import REGIME
 from seqident.errors import StageOutOfRange, StateSpaceTooLarge, ZeroProbabilityEvidence
@@ -36,6 +38,8 @@ from seqident.graph import MAX_NODES
 from seqident.modelfile import ParsedModelFile
 from seqident.stability import check_theorem1_numeric
 from seqident.fuzz import (
+    random_dag,
+    random_dag_parameterization,
     random_loss,
     random_model,
     random_parent_spec,
@@ -51,6 +55,7 @@ from .oracles import (
     ci_deviation_reference,
     decomposition_reference,
     positivity_issues_reference,
+    product_joint_reference,
     splice_parts,
     splice_reference,
 )
@@ -553,15 +558,20 @@ class TestContract:
             assert all(type(p) is Fraction for p in got.flat)
 
     def test_no_dense_joint(self, monkeypatch, fig2a, bite_model):
-        # every dense builder goes through _product_joint
-        def dense(*args):
-            raise AssertionError("dense joint built")
+        # a dense joint is a _contract call that keeps every label
+        contract = prob._contract
+
+        def no_dense(labels, states, factors, keep):
+            if len(keep) == len(labels):
+                raise AssertionError("dense joint built")
+            return contract(labels, states, factors, keep)
 
         rng = np.random.default_rng(71)
         s = random_strategy(rng, fig2a, full_history_spec(fig2a), bite_model.states, True)
         k = loss_function([0.0, 1.0], "Y")
         pf = ParsedModelFile(diagram=fig2a, model=bite_model, strategies=(s,), loss=k)
-        monkeypatch.setattr(prob, "_product_joint", dense)
+        monkeypatch.setattr(prob, "_contract", no_dense)
+        monkeypatch.setattr(stability, "_contract", no_dense)
         evaluate_oracle(bite_model, fig2a, s, k)
         evaluate_decomposition(bite_model, fig2a, s, k)
         check_positivity(bite_model, fig2a, s)
@@ -569,3 +579,65 @@ class TestContract:
         _dsep_gap(pf, ["L2"], [REGIME], ["A1"])
         with pytest.raises(AssertionError, match="dense joint built"):
             joint(bite_model, fig2a, s)
+
+
+def _bitwise(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_dense_builders_match_reference_product():
+    # every dense table is the old float product bit for bit: both regimes,
+    # every split, the regime mixture and plain DAG joints
+    rng = np.random.default_rng(79)
+    for _ in range(40):
+        d = random_staged_diagram(rng)
+        base = random_model(rng, d)
+        for m in (base, _zero_columns(rng, base, d)):
+            deterministic = bool(rng.random() < 0.5)
+            s = random_strategy(rng, d, random_parent_spec(rng, d), m.states, deterministic)
+            want = [
+                product_joint_reference(d.labels, m.states, prob._spliced_factors(m, d, s, i))
+                for i in range(d.n_stages + 1)
+            ]
+            assert _bitwise(joint(m, d).table, want[-1])
+            assert _bitwise(joint(m, d, s).table, want[0])
+            for i in range(d.n_stages + 1):
+                assert _bitwise(mixed_joint_pi(m, d, s, i).table, want[i])
+            mixture = np.stack([0.5 * want[-1], 0.5 * want[0]], axis=-1)
+            assert _bitwise(regime_mixture_joint(m, d, s).table, mixture)
+        g = random_dag(rng)
+        states, cpts = random_dag_parameterization(rng, g)
+        factors = [(tuple(g.parents[nid]) + (nid,), cpts[lab]) for nid, lab in enumerate(g.labels)]
+        assert _bitwise(dag_joint(g, states, cpts).table, product_joint_reference(g.labels, states, factors))
+
+
+def _fractions(table: np.ndarray) -> np.ndarray:
+    return np.array([Fraction(x) for x in table.flat], dtype=object).reshape(table.shape)
+
+
+def test_dense_builders_exact_on_fractions():
+    # Fraction CPTs and kernels give object arrays of Fractions equal to
+    # explicit enumeration of the spliced factors
+    rng = np.random.default_rng(83)
+    for _ in range(10):
+        d = random_staged_diagram(rng, max_stages=2, max_extra=2)
+        m = _fraction_model(rng, d)
+        s = random_strategy(rng, d, random_parent_spec(rng, d), m.states, bool(rng.random() < 0.5))
+        s = replace(s, tables=tuple(_fractions(t) for t in s.tables))
+        # (split, table): observational factors through the split, strategy after
+        built = [(i, mixed_joint_pi(m, d, s, i).table) for i in range(d.n_stages + 1)]
+        built.append((d.n_stages, joint(m, d).table))
+        built.append((0, joint(m, d, s).table))
+        built.append((d.n_stages, dag_joint(d.dag, m.states, m.cpts).table))
+        for split, table in built:
+            assert table.dtype == object and all(type(p) is Fraction for p in table.flat)
+            for cfg in itertools.product(*(range(m.states[v]) for v in d.labels)):
+                env = dict(zip(d.labels, cfg))
+                want = Fraction(1)
+                for v in d.vars:
+                    if v.kind is VarKind.ACTION and v.stage > split:
+                        parents, kernel = s.parents_of(v.label), s.kernel_table(v.label)
+                    else:
+                        parents, kernel = d.parents[v.label], m.cpts[v.label]
+                    want *= kernel[tuple(env[q] for q in parents) + (env[v.label],)]
+                assert table[cfg] == want, (split, cfg)

@@ -177,10 +177,12 @@ class TestTheorem1Numeric:
 
     def test_each_split_built_once(self, monkeypatch, fig2a, bite_model, fig2b, fig2b_model):
         # each split's factors are built once and contracted for the stages it
-        # serves; no dense joint is built (every dense builder goes through
-        # _product_joint).  The contraction sums in another order than the
-        # dense reference, so the printed deviations may differ at rounding
-        # level and are compared within 1e-14; everything else is exact.
+        # serves; no dense joint is built (a dense joint is a _contract call
+        # that keeps every label, and without hidden variables only the last
+        # stage's law spans every label).  The contraction sums in another
+        # order than the dense reference, so the printed deviations may differ
+        # at rounding level and are compared within 1e-14; everything else is
+        # exact.
         from seqident import DiscreteModel
         from seqident import prob
         from seqident.fuzz import random_model
@@ -199,17 +201,24 @@ class TestTheorem1Numeric:
             splits.append(i)
             return orig(m, d, s, i)
 
-        def dense(*args):
-            raise AssertionError("dense joint built")
+        contract = prob._contract
+        hidden = False
+
+        def no_dense(labels, states, factors, keep):
+            if hidden and len(keep) == len(labels):
+                raise AssertionError("dense joint built")
+            return contract(labels, states, factors, keep)
 
         skipped = 0
         for m, d in cases:
             s = random_strategy(rng, d, random_parent_spec(rng, d), m.states)
             want = splice_reference(m, d, s, 1e-6)
             splits.clear()
+            hidden = len(d.observed_labels) < len(d.labels)
             with monkeypatch.context() as patch:
                 patch.setattr(stability, "_spliced_factors", counted)
-                patch.setattr(prob, "_product_joint", dense)
+                patch.setattr(stability, "_contract", no_dense)
+                patch.setattr(prob, "_contract", no_dense)
                 got = check_theorem1_numeric(m, d, s, tol=1e-6)
             assert splits == list(range(d.n_stages + 1))
             got_exact, got_dev = splice_parts(got)
