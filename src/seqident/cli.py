@@ -408,6 +408,7 @@ def _cmd_report(args) -> int:
                 try:
                     opt = optimize_backward(oc, d, pf.loss, full_history_spec(d))
                 except SeqidentError as exc:
+                    code = 1
                     doc["strategy_table"] = {"error": str(exc)}
                 else:
                     doc["strategy_table"] = {

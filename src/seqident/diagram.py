@@ -85,6 +85,13 @@ class StagedDiagram:
         return build_dag(self.labels, self.edges)
 
     @cached_property
+    def regime_dag(self) -> Dag:
+        """The diagram plus the regime node, with one arrow into every action."""
+        return build_dag(
+            self.labels + (REGIME,), [*self.edges, *((REGIME, a) for a in self.actions)]
+        )
+
+    @cached_property
     def parents(self) -> dict[str, tuple[str, ...]]:
         # parent lists in canonical order
         out: dict[str, list[str]] = {v.label: [] for v in self.vars}
@@ -257,14 +264,13 @@ def validate_diagram(d: StagedDiagram) -> tuple[Violation, ...]:
 
 
 def augment_with_regime(d: StagedDiagram | Dag) -> Dag:
-    """Append the regime node with one arrow into every action."""
+    """Append the regime node with one arrow into every action; the graph is
+    built once per diagram object."""
     if isinstance(d, Dag):
         if REGIME in d.labels:
             raise RegimeAlreadyPresent("graph already carries a regime node")
         raise UnknownLabel("regime augmentation needs stage information; pass a StagedDiagram")
-    labels = d.labels + (REGIME,)
-    edges = list(d.edges) + [(REGIME, a) for a in d.actions]
-    return build_dag(labels, edges)
+    return d.regime_dag
 
 
 def strip_regime(g: Dag) -> Dag:

@@ -5,13 +5,19 @@ simple and extended stability are read off the regime-augmented diagram,
 the general criterion off the per-stage hybrid-regime graphs, and the
 Pearl-Robins criterion off the per-stage edge-deleted graphs.  Each check
 returns a report whose failed entries carry a witness path.
+
+A graphical check runs once per diagram object and spec: its report is
+stored on the diagram instance, so a later call with the same object and
+spec, including the calls inside ``decide_identifiability``, returns the same
+report.  An equal diagram built separately starts with an empty store.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -61,6 +67,26 @@ def _render(d: StagedDiagram, x: Iterable[str], y: Iterable[str], z: Iterable[st
     return left + (" | " + ", ".join(zs) if zs else "")
 
 
+def _once_per_diagram(check: Callable[..., IdentificationReport]):
+    """Store check's report on the diagram object, keyed by check and spec.
+
+    The store sits in the instance ``__dict__``, as ``cached_property``
+    values do, so it lives and dies with the object and is never shared by
+    equal diagrams.  A call that raises stores nothing.
+    """
+
+    @functools.wraps(check)
+    def once(d: StagedDiagram, *spec: StrategyParentSpec) -> IdentificationReport:
+        reports = d.__dict__.setdefault("_check_reports", {})
+        key = (check.__name__, *spec)
+        report = reports.get(key)
+        if report is None:
+            report = reports[key] = check(d, *spec)
+        return report
+
+    return once
+
+
 def _stability(d: StagedDiagram, with_hidden: bool) -> IdentificationReport:
     """Per stage, the block given the past is regime-invariant; with_hidden
     adds each stage's hidden variables to its block and to later pasts."""
@@ -83,16 +109,19 @@ def _stability(d: StagedDiagram, with_hidden: bool) -> IdentificationReport:
     return IdentificationReport(check=check, entries=tuple(entries))
 
 
+@_once_per_diagram
 def check_simple_stability(d: StagedDiagram) -> IdentificationReport:
     """Per stage, the covariate block given the observed past is regime-invariant."""
     return _stability(d, with_hidden=False)
 
 
+@_once_per_diagram
 def check_extended_stability(d: StagedDiagram) -> IdentificationReport:
     """Simple stability once the hidden blocks are added to the conditioning chain."""
     return _stability(d, with_hidden=True)
 
 
+@_once_per_diagram
 def check_general(d: StagedDiagram, spec: StrategyParentSpec) -> IdentificationReport:
     """Outcome vs regime in every hybrid-regime graph, given the history so far.
 
@@ -114,6 +143,7 @@ def check_general(d: StagedDiagram, spec: StrategyParentSpec) -> IdentificationR
     )
 
 
+@_once_per_diagram
 def check_pearl_robins(d: StagedDiagram, spec: StrategyParentSpec) -> IdentificationReport:
     """Outcome vs each action in the edge-deleted graphs, given the action's history."""
     y = d.outcome_label
@@ -127,6 +157,7 @@ def check_pearl_robins(d: StagedDiagram, spec: StrategyParentSpec) -> Identifica
     return IdentificationReport(check="pearl-robins", entries=tuple(entries))
 
 
+@_once_per_diagram
 def check_assumptions(d: StagedDiagram, spec: StrategyParentSpec) -> IdentificationReport:
     """Regularity assumptions for the optimal-strategy reduction.
 

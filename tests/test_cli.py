@@ -370,14 +370,21 @@ class TestReport:
         assert doc["strategy_table"] == error
         assert doc["value"] == (None if strategy is None else error)
 
-    def test_positivity_violation_keeps_verdict(self, capsys, models_dir, tmp_path):
+    @staticmethod
+    def _first_action_never_one(models_dir, tmp_path) -> Path:
         # the observational first action is always 0; both-high takes 1
         text = (models_dir / "fig2b.sid").read_text()
         for row in ("0.7 0.3", "0.4 0.6"):
             text = text.replace(f"cpt A1 | L1 : {row}", "cpt A1 | L1 : 1 0")
         p = tmp_path / "never.sid"
         p.write_text(text)
-        message = "stage 1: action state 1 has zero observational probability at reachable history L1=0"
+        return p
+
+    _NEVER_ONE = "stage 1: action state 1 has zero observational probability at reachable history L1=0"
+
+    def test_positivity_violation_keeps_verdict(self, capsys, models_dir, tmp_path):
+        p = self._first_action_never_one(models_dir, tmp_path)
+        message = self._NEVER_ONE
         code, out, err = run(capsys, "report", str(p), "--strategy", "both-high")
         assert code == 1 and err == ""
         assert "[splice-agreement] PASS" in out
@@ -388,6 +395,19 @@ class TestReport:
         assert doc["verdict"] == "IdentifiedSimple"
         assert doc["reports"][-1]["check"] == "splice-agreement"
         assert doc["value"] == {"error": message}
+
+    def test_failed_optimal_search_alone_exits_one(self, capsys, models_dir, tmp_path):
+        # no --strategy: the verdict is identified and only the optimal
+        # strategy search fails
+        p = self._first_action_never_one(models_dir, tmp_path)
+        code, out, err = run(capsys, "report", str(p))
+        assert code == 1 and err == ""
+        assert out.splitlines()[-2:] == ["verdict: IdentifiedSimple", f"optimize: {self._NEVER_ONE}"]
+        code, out, err = run(capsys, "report", str(p), "--format", "json")
+        doc = json.loads(out)
+        assert code == 1 and err == ""
+        assert doc["verdict"] == "IdentifiedSimple" and doc["value"] is None
+        assert doc["strategy_table"] == {"error": self._NEVER_ONE}
 
 
 # one valid command line per subcommand, and the flags each one reads

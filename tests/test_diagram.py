@@ -25,6 +25,7 @@ from seqident.errors import (
     UnknownLabel,
 )
 from seqident.fuzz import random_staged_diagram
+from seqident.graph import build_dag
 
 
 class TestConstruction:
@@ -106,6 +107,20 @@ class TestRegime:
     def test_augment_twice_rejected(self, fig2a):
         with pytest.raises(RegimeAlreadyPresent):
             augment_with_regime(augment_with_regime(fig2a))
+
+    def test_augment_built_once_per_diagram(self, fig2a):
+        rng = np.random.default_rng(4)
+        for d in [fig2a] + [random_staged_diagram(rng, max_stages=4, max_extra=6) for _ in range(30)]:
+            g = augment_with_regime(d)
+            assert augment_with_regime(d) is g
+            want = build_dag(
+                d.labels + ("sigma",), list(d.edges) + [("sigma", a) for a in d.actions]
+            )
+            assert g.labels == want.labels and g.edges == want.edges
+            twin = staged_diagram(
+                d.n_stages, [(v.label, v.kind, v.stage) for v in d.vars], d.edges
+            )
+            assert augment_with_regime(twin) is not g and augment_with_regime(twin) == g
 
     def test_strip_round_trip(self, fig2a):
         assert strip_regime(augment_with_regime(fig2a)) == fig2a.dag

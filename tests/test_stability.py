@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -16,9 +19,10 @@ from seqident import (
     full_history_spec,
     normalize_parents,
     parent_spec,
+    staged_diagram,
     unconditional_spec,
 )
-from seqident.errors import InternalTheorem2Violation
+from seqident.errors import InternalTheorem2Violation, UnknownLabel
 from seqident.fuzz import (
     random_parent_spec,
     random_staged_diagram,
@@ -264,6 +268,129 @@ class TestDecide:
         dn = normalize_parents(fig2b, full)
         with pytest.raises(InternalTheorem2Violation):
             stability.decide_identifiability(dn, full)
+
+
+def _rebuilt(d):
+    """An equal diagram built separately from the same declarations."""
+    return staged_diagram(
+        d.n_stages, [(v.label, v.kind, v.stage) for v in d.vars], d.edges, d.inert
+    )
+
+
+def _standalone(d, spec):
+    return (
+        check_simple_stability(d),
+        check_extended_stability(d),
+        check_general(d, spec),
+        check_pearl_robins(d, spec),
+        check_assumptions(d, spec),
+    )
+
+
+def _problems(seed: int, count: int):
+    """(diagram, spec) pairs as the identify workload poses them, each
+    diagram normalised for the full-history spec and for a random one; every
+    pair has a diagram object of its own."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        d = random_staged_diagram(rng, max_stages=4, max_extra=6)
+        for spec in (full_history_spec(d), random_parent_spec(rng, d)):
+            out.append((_rebuilt(normalize_parents(d, spec)), spec))
+    return out
+
+
+class TestOncePerDiagram:
+    """Each graphical check runs once per diagram object and spec."""
+
+    @pytest.fixture
+    def queries(self, monkeypatch):
+        calls = []
+        inner = stability.d_separated
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(stability, "d_separated", counted)
+        return calls
+
+    @staticmethod
+    def _decided(fig2a, fig2b, queries):
+        """(diagram, spec, standalone reports, decision, queries the decision
+        posed), each decision made right after the standalone checks, over
+        all three verdicts."""
+        problems = [
+            (fig2a, full_history_spec(fig2a)),  # NotGuaranteed: general runs
+            (fig2a, unconditional_spec(fig2a)),  # IdentifiedGeneral
+            (fig2b, full_history_spec(fig2b)),  # IdentifiedSimple
+        ] + _problems(5, 30)
+        out = []
+        for d, spec in problems:
+            reports = _standalone(d, spec)
+            before = len(queries)
+            decision = decide_identifiability(d, spec)
+            out.append((d, spec, reports, decision, len(queries) - before))
+        assert {row[3].verdict for row in out} == set(IdentifiabilityVerdict)
+        return out
+
+    def test_decision_runs_no_query_after_the_checks(self, fig2a, fig2b, queries):
+        posed = [row[4] for row in self._decided(fig2a, fig2b, queries)]
+        assert posed == [0] * len(posed)
+        assert queries  # the standalone checks went through the counter
+
+    def test_decision_holds_the_standalone_reports(self, fig2a, fig2b, queries):
+        for d, spec, reports, decision, _ in self._decided(fig2a, fig2b, queries):
+            simple, _, general, _, assumptions = reports
+            assert decision.simple is simple and decision.assumptions is assumptions
+            assert decision.general is None or decision.general is general
+            assert all(a is b for a, b in zip(_standalone(d, spec), reports))
+
+    def test_equal_diagram_runs_its_own_queries(self, queries):
+        for d, spec in _problems(7, 20):
+            del queries[:]
+            first = decide_identifiability(d, spec)
+            ran = len(queries)
+            assert ran > 0
+            twin = _rebuilt(d)
+            assert twin == d and twin is not d
+            again = decide_identifiability(twin, spec)
+            assert len(queries) == 2 * ran
+            assert again == first and again.simple is not first.simple
+
+    def test_store_dies_with_the_diagram(self):
+        d = random_staged_diagram(np.random.default_rng(3), max_stages=3)
+        ref = weakref.ref(d)
+        _standalone(d, full_history_spec(d))
+        decide_identifiability(d, full_history_spec(d))
+        del d
+        gc.collect()
+        assert ref() is None
+
+    def test_second_spec_on_same_object(self):
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            d = random_staged_diagram(rng, max_stages=4, max_extra=6)
+            specs = (full_history_spec(d), unconditional_spec(d), random_parent_spec(rng, d))
+            for spec in specs:
+                _standalone(d, spec)
+            for spec in specs:
+                fresh = _rebuilt(d)
+                for check in (check_general, check_pearl_robins, check_assumptions):
+                    assert check(d, spec) == check(fresh, spec)
+
+    def test_a_check_that_raises_raises_again(self, fig2a):
+        other = staged_diagram(1, [("B1", "action", 1), ("Y", "outcome", 2)], [("B1", "Y")])
+        foreign = unconditional_spec(other)
+        for check in (check_general, check_pearl_robins, check_assumptions):
+            for _ in range(2):
+                with pytest.raises(UnknownLabel):
+                    check(fig2a, foreign)
+        for _ in range(2):
+            with pytest.raises(UnknownLabel):
+                decide_identifiability(fig2a, foreign)
+        spec = unconditional_spec(fig2a)
+        assert check_general(fig2a, spec) == check_general(_rebuilt(fig2a), spec)
 
 
 def test_fuzz_general_pass_implies_simple_pass():
