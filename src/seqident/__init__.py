@@ -18,7 +18,6 @@ from .diagram import (
     normalize_parents,
     parent_spec,
     staged_diagram,
-    strip_regime,
     unconditional_spec,
     validate_diagram,
 )
@@ -32,10 +31,8 @@ from .evaluate import (
 )
 from .graph import (
     Dag,
-    MoralGraph,
     SeparationVerdict,
     ancestors,
-    ancestral_moral_graph,
     build_dag,
     d_separated,
 )

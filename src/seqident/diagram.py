@@ -17,7 +17,6 @@ from typing import Iterable, Mapping
 from .errors import (
     DuplicateEdge,
     InvalidParentSpec,
-    NoRegimeNode,
     RegimeAlreadyPresent,
     StageOutOfRange,
     UnknownLabel,
@@ -87,9 +86,12 @@ class StagedDiagram:
     @cached_property
     def regime_dag(self) -> Dag:
         """The diagram plus the regime node, with one arrow into every action."""
-        return build_dag(
-            self.labels + (REGIME,), [*self.edges, *((REGIME, a) for a in self.actions)]
+        r = len(self.vars)
+        parents = tuple(
+            ps + (r,) if v.kind is VarKind.ACTION else ps
+            for v, ps in zip(self.vars, self.parent_ids)
         )
+        return Dag.from_parents(self.labels + (REGIME,), parents + ((),))
 
     @cached_property
     def parents(self) -> dict[str, tuple[str, ...]]:
@@ -99,6 +101,13 @@ class StagedDiagram:
             out[b].append(a)
         pos = self.position
         return {lab: tuple(sorted(ps, key=pos.__getitem__)) for lab, ps in out.items()}
+
+    @cached_property
+    def parent_ids(self) -> tuple[tuple[int, ...], ...]:
+        """Parents as ascending positions; positions are the node ids of
+        ``dag`` and of every graph derived from the diagram."""
+        pos = self.position
+        return tuple(tuple(pos[p] for p in self.parents[lab]) for lab in self.labels)
 
     @cached_property
     def actions(self) -> tuple[str, ...]:
@@ -273,19 +282,6 @@ def augment_with_regime(d: StagedDiagram | Dag) -> Dag:
     return d.regime_dag
 
 
-def strip_regime(g: Dag) -> Dag:
-    """Drop the regime node and its incident edges."""
-    if REGIME not in g.labels:
-        raise NoRegimeNode("graph has no regime node")
-    keep = tuple(lab for lab in g.labels if lab != REGIME)
-    edges = [
-        (g.labels[a], g.labels[b])
-        for a, b in g.edges
-        if g.labels[a] != REGIME and g.labels[b] != REGIME
-    ]
-    return build_dag(keep, edges)
-
-
 @dataclass(frozen=True)
 class StrategyParentSpec:
     """Per-action sets of observed predecessors the strategy may consult."""
@@ -385,22 +381,19 @@ def build_check_graph(d: StagedDiagram, spec: StrategyParentSpec, i: int) -> Dag
     """
     if not 0 <= i <= d.n_stages:
         raise StageOutOfRange(f"stage {i} not in 0..{d.n_stages}")
-    edges: list[tuple[str, str]] = []
-    for v in d.vars:
-        if v.kind is not VarKind.ACTION:
-            edges.extend((p, v.label) for p in d.parents[v.label])
+    pos = d.position
+    parents = list(d.parent_ids)
+    for k, v in enumerate(d.vars):
+        if v.kind is not VarKind.ACTION or v.stage < i:
             continue
-        if v.stage < i:
-            parents: Iterable[str] = d.pa_o(v.label)
-        elif v.stage > i or i == 0:
-            parents = kernel_parent_order(d, spec, v.label)
+        strategy = {pos[p] for p in spec.of(v.label)}
+        if v.stage > i or i == 0:
+            parents[k] = tuple(sorted(strategy))
         else:
-            union = set(d.pa_o(v.label)) | spec.of(v.label)
-            parents = sorted(union, key=d.position.__getitem__)
-            edges.append((REGIME, v.label))
-        edges.extend((p, v.label) for p in parents)
-    labels = d.labels if i == 0 else d.labels + (REGIME,)
-    return build_dag(labels, edges)
+            parents[k] = tuple(sorted(strategy.union(parents[k]))) + (len(d.vars),)
+    if i == 0:
+        return Dag.from_parents(d.labels, tuple(parents))
+    return Dag.from_parents(d.labels + (REGIME,), (*parents, ()))
 
 
 def build_pearl_robins_graph(
@@ -414,13 +407,13 @@ def build_pearl_robins_graph(
     """
     if not 1 <= i <= d.n_stages:
         raise StageOutOfRange(f"stage {i} not in 1..{d.n_stages}")
-    a_i = d.action_label(i)
+    a_i = dprime.index.get(d.action_label(i))
     later = {d.action_label(j): spec.of(d.action_label(j)) for j in range(i + 1, d.n_stages + 1)}
-    kept: list[tuple[str, str]] = []
-    for src, dst in dprime.edge_labels():
-        if src == a_i:
-            continue
-        if dst in later and src not in later[dst]:
-            continue
-        kept.append((src, dst))
-    return build_dag(dprime.labels, kept)
+    labels = dprime.labels
+    parents = []
+    for lab, ps in zip(labels, dprime.parents):
+        keep = later.get(lab)
+        parents.append(
+            tuple(p for p in ps if p != a_i and (keep is None or labels[p] in keep))
+        )
+    return Dag.from_parents(labels, tuple(parents))

@@ -1,9 +1,20 @@
-"""Directed acyclic graphs, ancestral moral graphs, and separation tests.
+"""Directed acyclic graphs and separation tests on node-id bitmasks.
 
 Separation is decided by the moralisation criterion: restrict the graph to
 the ancestral closure of the query sets, marry co-parents, drop directions,
-and look for a path that dodges the conditioning set.  When such a path
-exists it is returned as a witness.
+and look for a path that dodges the conditioning set.  The query sets and
+the closure are integer bitmasks over node ids, and the closure comes from
+one walk up the cached parent masks.  The moral graph is never built: a
+breadth-first search from the second query set asks for the moral
+neighbours of each node it reaches (parents, children inside the closure,
+and those children's other parents) and stops at the first node of the
+first set.  When such a path exists it is returned as a witness.
+
+Graphs derived from an already validated one, such as the check graphs of
+``seqident.diagram``, are made by ``Dag.from_parents`` without re-checking
+labels.  Their acyclicity is certified edge by edge; only an edge that
+neither points to a higher id nor leaves a parentless node sends the graph
+through the depth-first cycle search.
 """
 
 from __future__ import annotations
@@ -54,6 +65,47 @@ class Dag:
         return tuple(tuple(sorted(cs)) for cs in out)
 
     @cached_property
+    def parent_masks(self) -> tuple[int, ...]:
+        out = []
+        for ps in self.parents:
+            mask = 0
+            for p in ps:
+                mask |= 1 << p
+            out.append(mask)
+        return tuple(out)
+
+    @cached_property
+    def child_masks(self) -> tuple[int, ...]:
+        out = [0] * len(self.labels)
+        for v, ps in enumerate(self.parents):
+            bit = 1 << v
+            for p in ps:
+                out[p] |= bit
+        return tuple(out)
+
+    @classmethod
+    def from_parents(
+        cls, labels: tuple[str, ...], parents: tuple[tuple[int, ...], ...]
+    ) -> Dag:
+        """A Dag from each node's parent ids in ascending order.
+
+        The parents are derived from an already validated graph, so labels
+        and endpoints are not checked again.  An edge to a higher id, or out
+        of a parentless node, cannot close a cycle; if any edge is neither,
+        the depth-first order runs and raises CycleDetected as build_dag
+        would.
+        """
+        _check_size(labels)
+        g = cls(labels, frozenset((p, v) for v, ps in enumerate(parents) for p in ps))
+        g.__dict__["parents"] = parents
+        for v, ps in enumerate(parents):
+            # ascending parents: any edge against the id order comes last
+            if ps and ps[-1] >= v and any(parents[p] for p in ps if p >= v):
+                g.topological_order  # raises CycleDetected
+                break
+        return g
+
+    @cached_property
     def topological_order(self) -> tuple[int, ...]:
         """Reversed postorder of a depth-first search over children, roots and
         children in index order; the first back edge met raises CycleDetected
@@ -102,14 +154,29 @@ class Dag:
         )
 
 
+def _check_size(labels: tuple[str, ...]) -> None:
+    if len(labels) > MAX_NODES:
+        raise TooManyNodes(f"{len(labels)} nodes exceed the supported maximum of {MAX_NODES}")
+
+
+def _mask(g: Dag, labels: Iterable[str]) -> int:
+    index = g.index
+    out = 0
+    for lab in labels:
+        try:
+            out |= 1 << index[lab]
+        except KeyError:
+            raise UnknownNode(f"unknown node {lab!r}") from None
+    return out
+
+
 def build_dag(labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> Dag:
     """Validate labels and edges and return a Dag with a cached topological order."""
     labels = tuple(labels)
     if len(set(labels)) != len(labels):
         dupes = sorted({lab for lab in labels if labels.count(lab) > 1})
         raise UnknownLabel(f"duplicate labels: {', '.join(dupes)}")
-    if len(labels) > MAX_NODES:
-        raise TooManyNodes(f"{len(labels)} nodes exceed the supported maximum of {MAX_NODES}")
+    _check_size(labels)
     index = {lab: i for i, lab in enumerate(labels)}
     seen: set[tuple[int, int]] = set()
     for a, b in edges:
@@ -127,66 +194,22 @@ def build_dag(labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> Dag:
     return dag
 
 
-def _ancestor_ids(g: Dag, ids: Iterable[int]) -> set[int]:
-    reached = set(ids)
-    todo = list(reached)
+def _ancestor_mask(parent_masks: Sequence[int], seed: int) -> int:
+    """Seed plus every ancestor, as a bitmask over node ids."""
+    closure = todo = seed
     while todo:
-        for p in g.parents[todo.pop()]:
-            if p not in reached:
-                reached.add(p)
-                todo.append(p)
-    return reached
+        low = todo & -todo
+        todo ^= low
+        new = parent_masks[low.bit_length() - 1] & ~closure
+        closure |= new
+        todo |= new
+    return closure
 
 
 def ancestors(g: Dag, seed: Iterable[str]) -> frozenset[str]:
     """Seed plus every node with a directed path into the seed."""
-    return frozenset(g.labels[i] for i in _ancestor_ids(g, g.node_ids(seed)))
-
-
-@dataclass(frozen=True)
-class MoralGraph:
-    """Undirected graph on an ancestral closure with co-parents married."""
-
-    labels: tuple[str, ...]  # in the host DAG's index order
-    edges: frozenset[tuple[str, str]]  # endpoints ordered by host index
-
-    @property
-    def nodes(self) -> frozenset[str]:
-        return frozenset(self.labels)
-
-    @cached_property
-    def adjacency(self) -> dict[str, tuple[str, ...]]:
-        order = {lab: i for i, lab in enumerate(self.labels)}
-        adj: dict[str, set[str]] = {lab: set() for lab in self.labels}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return {lab: tuple(sorted(ns, key=order.__getitem__)) for lab, ns in adj.items()}
-
-
-def _moral_neighbours(g: Dag, ids: Iterable[int]) -> dict[int, set[int]]:
-    """Adjacency of the ancestral moral graph of ids.  An ancestral closure
-    holds every parent of its nodes, so each node's parents are its
-    neighbours and are married to one another.  A node with a co-parent also
-    lists itself; both callers skip that entry."""
-    nb: dict[int, set[int]] = {i: set() for i in _ancestor_ids(g, ids)}
-    for child, ns in nb.items():
-        ps = g.parents[child]
-        ns.update(ps)
-        for p in ps:
-            nb[p].add(child)
-            nb[p].update(ps)
-    return nb
-
-
-def ancestral_moral_graph(g: Dag, seed: Iterable[str]) -> MoralGraph:
-    """Restrict to ancestors(seed), marry parents sharing a child, drop directions."""
-    nb = _moral_neighbours(g, g.node_ids(seed))
-    lab = g.labels
-    return MoralGraph(
-        labels=tuple(lab[i] for i in sorted(nb)),
-        edges=frozenset((lab[a], lab[b]) for a, ns in nb.items() for b in ns if a < b),
-    )
+    closure = _ancestor_mask(g.parent_masks, _mask(g, seed))
+    return frozenset(lab for i, lab in enumerate(g.labels) if closure >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -215,28 +238,46 @@ def d_separated(
     On failure the verdict carries a shortest moral-graph path from y to x
     avoiding z, ties broken toward smaller node indices.
     """
-    xs, ys, zs = g.node_ids(x), g.node_ids(y), g.node_ids(z)
+    xs, ys, zs = _mask(g, x), _mask(g, y), _mask(g, z)
     if not xs or not ys:
         raise EmptyQuerySet("both query sets must be nonempty")
     if xs & ys or xs & zs or ys & zs:
         raise OverlappingSets("query and conditioning sets must be pairwise disjoint")
 
-    nb = _moral_neighbours(g, xs | ys | zs)
+    pm, cm = g.parent_masks, g.child_masks
+    closure = _ancestor_mask(pm, xs | ys | zs)
 
-    # Multi-source BFS from y; sources and neighbour expansion in index
-    # order make the reported path deterministic.
-    prev: dict[int, int | None] = dict.fromkeys(ys)
-    queue = deque(sorted(ys))
+    # Multi-source BFS from y; sources and newly reached nodes are queued in
+    # index order, which makes the reported path deterministic.  The first x
+    # node queued is the first one a pop-time check would meet.
+    prev: dict[int, int] = {}
+    seen = ys | zs
+    queue = deque(_ids(ys))
     while queue:
         node = queue.popleft()
-        if node in xs:
-            path = [node]
-            while prev[path[-1]] is not None:
-                path.append(prev[path[-1]])  # type: ignore[arg-type]
-            witness = tuple(g.labels[i] for i in reversed(path))
-            return SeparationVerdict(separated=False, witness=witness)
-        for n in sorted(nb[node] - zs):
-            if n not in prev:
-                prev[n] = node
-                queue.append(n)
+        kids = cm[node] & closure
+        moral = pm[node] | kids
+        for c in _ids(kids):
+            moral |= pm[c]
+        new = moral & ~seen
+        seen |= new
+        for n in _ids(new):
+            prev[n] = node
+            if xs >> n & 1:
+                path = [n]
+                while path[-1] in prev:
+                    path.append(prev[path[-1]])
+                witness = tuple(g.labels[i] for i in reversed(path))
+                return SeparationVerdict(separated=False, witness=witness)
+            queue.append(n)
     return SeparationVerdict(separated=True)
+
+
+def _ids(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out

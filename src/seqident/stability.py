@@ -29,8 +29,9 @@ from .diagram import (
     build_check_graph,
     build_pearl_robins_graph,
     is_full_history,
+    parent_spec,
 )
-from .errors import InternalTheorem2Violation
+from .errors import InternalTheorem2Violation, InvalidParentSpec
 from .graph import SeparationVerdict, ancestors, d_separated
 from .prob import DiscreteModel, _contract, _spliced_factors
 from .strategy import Strategy
@@ -72,7 +73,10 @@ def _once_per_diagram(check: Callable[..., IdentificationReport]):
 
     The store sits in the instance ``__dict__``, as ``cached_property``
     values do, so it lives and dies with the object and is never shared by
-    equal diagrams.  A call that raises stores nothing.
+    equal diagrams.  A call that raises stores nothing.  Before a check
+    first runs with a spec, the spec must be what ``parent_spec`` gives for
+    this diagram: a spec without a parent set for some action raises
+    UnknownLabel, and any other mismatch InvalidParentSpec.
     """
 
     @functools.wraps(check)
@@ -81,6 +85,9 @@ def _once_per_diagram(check: Callable[..., IdentificationReport]):
         key = (check.__name__, *spec)
         report = reports.get(key)
         if report is None:
+            for s in spec:
+                if parent_spec(d, {a: s.of(a) for a in d.actions}) != s:
+                    raise InvalidParentSpec("the parent spec lists actions the diagram lacks")
             report = reports[key] = check(d, *spec)
         return report
 

@@ -6,7 +6,10 @@ and an active-path separation test instead of moralisation.  The graph
 references further down are the label-based moralisation and breadth-first
 search, and the Kahn order with its cycle search, that ``seqident.graph``
 used before it worked on node ids; the id-based code must reproduce them
-exactly.  Then come the per-configuration loops that ``ci_deviation`` and
+exactly.  Next to them are the regime graph, the hybrid-regime and the
+edge-deleted check graphs as ``seqident.diagram`` built them from label
+edge lists through ``build_dag``, before it derived them from parent ids.
+Then come the per-configuration loops that ``ci_deviation`` and
 ``check_positivity`` ran before they worked on whole arrays, and the array
 code must match them bit for bit.  Then come the decomposition and the
 splice check as they ran on dense joints, before those queries summed
@@ -23,15 +26,20 @@ from collections import deque
 import numpy as np
 
 from seqident import (
+    REGIME,
     Dag,
     DiscreteModel,
     OptimizationResult,
     StagedDiagram,
     Strategy,
+    StrategyParentSpec,
+    build_dag,
     enumerate_deterministic,
     evaluate_g_recursion,
     kernel,
 )
+from seqident.diagram import VarKind, kernel_parent_order
+from seqident.errors import NoRegimeNode
 from seqident.prob import PositivityIssue, joint, marginal, mixed_joint_pi
 from seqident.stability import CheckEntry, IdentificationReport
 
@@ -133,6 +141,55 @@ def separation_witness_reference(g: Dag, x, y, z) -> tuple[str, ...] | None:
             prev[nb] = node
             queue.append(nb)
     return None
+
+
+def strip_regime(g: Dag) -> Dag:
+    """Drop the regime node and its incident edges."""
+    if REGIME not in g.labels:
+        raise NoRegimeNode("graph has no regime node")
+    keep = tuple(lab for lab in g.labels if lab != REGIME)
+    edges = [
+        (g.labels[a], g.labels[b])
+        for a, b in g.edges
+        if g.labels[a] != REGIME and g.labels[b] != REGIME
+    ]
+    return build_dag(keep, edges)
+
+
+def regime_dag_reference(d: StagedDiagram) -> Dag:
+    return build_dag(d.labels + (REGIME,), [*d.edges, *((REGIME, a) for a in d.actions)])
+
+
+def check_graph_reference(d: StagedDiagram, spec: StrategyParentSpec, i: int) -> Dag:
+    edges: list[tuple[str, str]] = []
+    for v in d.vars:
+        if v.kind is not VarKind.ACTION:
+            edges.extend((p, v.label) for p in d.parents[v.label])
+            continue
+        if v.stage < i:
+            parents = d.pa_o(v.label)
+        elif v.stage > i or i == 0:
+            parents = kernel_parent_order(d, spec, v.label)
+        else:
+            union = set(d.pa_o(v.label)) | spec.of(v.label)
+            parents = sorted(union, key=d.position.__getitem__)
+            edges.append((REGIME, v.label))
+        edges.extend((p, v.label) for p in parents)
+    labels = d.labels if i == 0 else d.labels + (REGIME,)
+    return build_dag(labels, edges)
+
+
+def pearl_robins_graph_reference(
+    dprime: Dag, d: StagedDiagram, spec: StrategyParentSpec, i: int
+) -> Dag:
+    a_i = d.action_label(i)
+    later = {d.action_label(j): spec.of(d.action_label(j)) for j in range(i + 1, d.n_stages + 1)}
+    kept = [
+        (src, dst)
+        for src, dst in dprime.edge_labels()
+        if src != a_i and not (dst in later and src not in later[dst])
+    ]
+    return build_dag(dprime.labels, kept)
 
 
 def kahn_order(n: int, edges: set[tuple[int, int]]) -> tuple[int, ...]:

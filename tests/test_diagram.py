@@ -12,11 +12,11 @@ from seqident import (
     normalize_parents,
     parent_spec,
     staged_diagram,
-    strip_regime,
     unconditional_spec,
     validate_diagram,
 )
 from seqident.errors import (
+    CycleDetected,
     DuplicateEdge,
     InvalidParentSpec,
     NoRegimeNode,
@@ -24,8 +24,16 @@ from seqident.errors import (
     StageOutOfRange,
     UnknownLabel,
 )
-from seqident.fuzz import random_staged_diagram
-from seqident.graph import build_dag
+from seqident.fuzz import random_parent_spec, random_staged_diagram
+from seqident.graph import Dag, build_dag, d_separated
+
+from .oracles import (
+    check_graph_reference,
+    pearl_robins_graph_reference,
+    regime_dag_reference,
+    separation_witness_reference,
+    strip_regime,
+)
 
 
 class TestConstruction:
@@ -249,3 +257,88 @@ class TestCheckGraph:
         base = set(fig2b.dag.edge_labels())
         assert set(g.edge_labels()) == base | {("sigma", "A2")}
         assert set(g.parent_labels("A1")) == set(fig2b.pa_o("A1"))
+
+
+def _built(make):
+    """A graph's labels and edges, or the cycle that building it reports."""
+    try:
+        g = make()
+    except CycleDetected as exc:
+        return "cycle", exc.cycle
+    return g.labels, g.edges
+
+
+def _with_reversed_edges(rng, d):
+    """The diagram with some edges turned against the stage order; such a
+    diagram fails validation, and its graphs may be cyclic."""
+    edges = [(b, a) if rng.random() < 0.3 else (a, b) for a, b in d.edges]
+    return staged_diagram(d.n_stages, [(v.label, v.kind, v.stage) for v in d.vars], edges)
+
+
+class TestDerivedGraphs:
+    """The regime graph and the check graphs, derived from parent ids, equal
+    the graphs built from label edge lists through build_dag."""
+
+    def test_cycle_through_a_strategy_parent(self):
+        d = staged_diagram(
+            1,
+            [("L1", "covariate", 1), ("A1", "action", 1), ("Y", "outcome", 2)],
+            [("A1", "L1"), ("A1", "Y")],
+        )
+        spec = parent_spec(d, {"A1": ["L1"]})
+        assert d.dag.edge_labels() == (("A1", "L1"), ("A1", "Y"))
+        with pytest.raises(CycleDetected) as exc:
+            build_check_graph(d, spec, 1)
+        assert exc.value.cycle == ("L1", "A1")
+        assert str(exc.value) == "directed cycle: L1 -> A1 -> L1"
+
+    def test_match_label_references(self):
+        rng = np.random.default_rng(23)
+        queries = 0
+        for k in range(120):
+            d = random_staged_diagram(rng, max_stages=4, max_extra=6)
+            specs = (full_history_spec(d), unconditional_spec(d), random_parent_spec(rng, d))
+            graphs = [(d.regime_dag, regime_dag_reference(d))]
+            for spec in specs:
+                for i in range(d.n_stages + 1):
+                    graphs.append((build_check_graph(d, spec, i), check_graph_reference(d, spec, i)))
+                for i in range(1, d.n_stages + 1):
+                    graphs.append((
+                        build_pearl_robins_graph(d.dag, d, spec, i),
+                        pearl_robins_graph_reference(d.dag, d, spec, i),
+                    ))
+            for g, want in graphs:
+                assert (g.labels, g.edges) == (want.labels, want.edges)
+                assert g.parents == Dag(g.labels, g.edges).parents
+                for _ in range(3):
+                    roles = rng.integers(0, 4, size=len(g.labels))  # 0 x, 1 y, 2 z, 3 out
+                    x, y, z = ({lab for lab, r in zip(g.labels, roles) if r == j} for j in range(3))
+                    if x and y:
+                        v = d_separated(g, x, y, z)
+                        assert v.witness == separation_witness_reference(g, x, y, z)
+                        queries += 1
+        assert queries >= 1000
+
+    def test_match_label_references_against_the_stage_order(self):
+        # a check graph can be acyclic where the diagram is not, and the
+        # other way round
+        rng = np.random.default_rng(29)
+        seen = set()
+        for _ in range(200):
+            d = _with_reversed_edges(rng, random_staged_diagram(rng, max_stages=3, max_extra=5))
+            spec = random_parent_spec(rng, d)
+            pairs = [(lambda: d.regime_dag, lambda: regime_dag_reference(d))]
+            for i in range(d.n_stages + 1):
+                pairs.append((
+                    lambda i=i: build_check_graph(d, spec, i),
+                    lambda i=i: check_graph_reference(d, spec, i),
+                ))
+            for i in range(1, d.n_stages + 1):
+                pairs.append((
+                    lambda i=i: build_pearl_robins_graph(d.dag, d, spec, i),
+                    lambda i=i: pearl_robins_graph_reference(d.dag, d, spec, i),
+                ))
+            outcomes = [_built(make) for make, _ in pairs]
+            assert outcomes == [_built(want) for _, want in pairs]
+            seen.add(tuple(sorted({got[0] == "cycle" for got in outcomes})))
+        assert seen >= {(False,), (True,), (False, True)}

@@ -22,7 +22,7 @@ from seqident import (
     staged_diagram,
     unconditional_spec,
 )
-from seqident.errors import InternalTheorem2Violation, UnknownLabel
+from seqident.errors import InternalTheorem2Violation, InvalidParentSpec, UnknownLabel
 from seqident.fuzz import (
     random_parent_spec,
     random_staged_diagram,
@@ -391,6 +391,19 @@ class TestOncePerDiagram:
                 decide_identifiability(fig2a, foreign)
         spec = unconditional_spec(fig2a)
         assert check_general(fig2a, spec) == check_general(_rebuilt(fig2a), spec)
+
+
+    def test_a_spec_from_another_diagram_is_rejected(self, fig2a, fig2b):
+        # fig2b's full-history spec lets A1 consult L1, which fig2a lacks
+        foreign = full_history_spec(fig2b)
+        for check in (check_general, check_pearl_robins, check_assumptions, decide_identifiability):
+            with pytest.raises(InvalidParentSpec, match="'L1' is not a variable"):
+                check(fig2a, foreign)
+        extra = stability.StrategyParentSpec(
+            full_history_spec(fig2a).parents + (("B1", frozenset()),)
+        )
+        with pytest.raises(InvalidParentSpec, match="actions the diagram lacks"):
+            check_general(fig2a, extra)
 
 
 def test_fuzz_general_pass_implies_simple_pass():
