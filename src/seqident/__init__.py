@@ -50,14 +50,12 @@ from .prob import (
     check_positivity,
     ci_deviation,
     ci_holds,
-    condition,
     dag_joint,
     expectation,
     joint,
     loss_function,
     marginal,
     mixed_joint_pi,
-    regime_mixture_joint,
     validate_model,
 )
 from .stability import (

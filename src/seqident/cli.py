@@ -405,16 +405,19 @@ def _cmd_report(args) -> int:
                     doc["reports"].append(
                         _report_dict(check_theorem1_numeric(pf.model, d, s, tol=args.tol))
                     )
+                # the optimum for the spec the verdict is for, found as `optimize` finds it
                 try:
-                    opt = optimize_backward(oc, d, pf.loss, full_history_spec(d))
+                    if is_full_history(d, spec):
+                        opt = optimize_backward(oc, d, pf.loss, spec)
+                        found = {"choices": {a: t.tolist() for a, t in opt.choices.items()}}
+                    else:
+                        opt = optimize_bruteforce(oc, d, pf.loss, spec)
+                        found = {"argmax_size": len(opt.argmax)}
                 except SeqidentError as exc:
                     code = 1
                     doc["strategy_table"] = {"error": str(exc)}
                 else:
-                    doc["strategy_table"] = {
-                        "value": opt.value,
-                        "choices": {a: t.tolist() for a, t in opt.choices.items()},
-                    }
+                    doc["strategy_table"] = {"value": opt.value, **found}
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
@@ -431,6 +434,8 @@ def _cmd_report(args) -> int:
             if doc["strategy_table"] is not None:
                 if "value" in doc["strategy_table"]:
                     print(f"optimal value {doc['strategy_table']['value']!r}")
+                    if "argmax_size" in doc["strategy_table"]:
+                        print(f"argmax set size {doc['strategy_table']['argmax_size']}")
                 else:
                     print(f"optimize: {doc['strategy_table']['error']}")
     return code

@@ -17,7 +17,6 @@ from typing import Iterable, Mapping
 from .errors import (
     DuplicateEdge,
     InvalidParentSpec,
-    RegimeAlreadyPresent,
     StageOutOfRange,
     UnknownLabel,
 )
@@ -272,13 +271,9 @@ def validate_diagram(d: StagedDiagram) -> tuple[Violation, ...]:
     return tuple(found)
 
 
-def augment_with_regime(d: StagedDiagram | Dag) -> Dag:
+def augment_with_regime(d: StagedDiagram) -> Dag:
     """Append the regime node with one arrow into every action; the graph is
     built once per diagram object."""
-    if isinstance(d, Dag):
-        if REGIME in d.labels:
-            raise RegimeAlreadyPresent("graph already carries a regime node")
-        raise UnknownLabel("regime augmentation needs stage information; pass a StagedDiagram")
     return d.regime_dag
 
 

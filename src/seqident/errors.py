@@ -41,10 +41,6 @@ class StageOutOfRange(SeqidentError):
     pass
 
 
-class RegimeAlreadyPresent(SeqidentError):
-    pass
-
-
 class NoRegimeNode(SeqidentError):
     pass
 
@@ -55,13 +51,6 @@ class InvalidParentSpec(SeqidentError):
 
 class StateSpaceTooLarge(SeqidentError):
     pass
-
-
-class ZeroProbabilityEvidence(SeqidentError):
-    def __init__(self, evidence: dict[str, int]):
-        self.evidence = dict(evidence)
-        rendered = ", ".join(f"{v}={s}" for v, s in evidence.items())
-        super().__init__(f"conditioning event has zero probability: {rendered}")
 
 
 class StateOutOfRange(SeqidentError):
@@ -76,7 +65,9 @@ class EnumerationTooLarge(SeqidentError):
     def __init__(self, count: int, cap: int):
         self.count = count
         self.cap = cap
-        super().__init__(f"{count} strategies exceed the enumeration cap of {cap}")
+        # str() refuses integers of more than 4300 digits
+        shown = count if count.bit_length() <= 256 else f"over 10**{(count.bit_length() - 1) * 30103 // 100000}"
+        super().__init__(f"{shown} strategies exceed the enumeration cap of {cap}")
 
 
 class PositivityViolation(SeqidentError):

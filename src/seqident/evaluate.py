@@ -13,7 +13,7 @@ re-brackets the oracle computation through the covariate marginal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -141,26 +141,27 @@ def _first_true(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(int(c) for c in np.unravel_index(flat, mask.shape))
 
 
-def _support_walk(
-    oc: ObservationalConditionals, kernel: Callable[[int], np.ndarray], lead: tuple[int, ...] = ()
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Walk strategy weight forward through the conditionals.  Per stage i, yields
-    ``(i, masked, unsupported)``: the reached cells of unsupported histories, then of
-    unsupported (history, action) pairs.  ``kernel(i)`` has the leading axes ``lead``."""
-    w = np.ones(lead)
-    for i in range(1, oc.n_stages + 1):
-        masked = (w > 0.0) & ~oc.masks[i - 1]
-        w = w.reshape(w.shape + (1,) * len(oc.block_vars[i - 1])) * oc.tables[i - 1]
-        w = w[..., None] * kernel(i)
-        yield i, masked, (w > 0.0) & ~oc.masks[i]
+def _walk_stage(
+    oc: ObservationalConditionals, i: int, w: np.ndarray, kernel: np.ndarray
+) -> np.ndarray:
+    """Carry strategy weight forward through stage i: w's trailing axes are stage
+    i's history, the result's are stage i+1's (history, block, action).  Leading
+    axes of w broadcast against those of ``kernel``."""
+    w = w.reshape(w.shape + (1,) * len(oc.block_vars[i - 1])) * oc.tables[i - 1]
+    return w[..., None] * kernel
 
 
 def check_recursion_support(oc: ObservationalConditionals, s: Strategy) -> None:
     """Walk the strategy forward through the conditionals and fail fast where
-    it steps outside the observational support."""
-    for i, masked, unsupported in _support_walk(oc, lambda i: _strategy_kernel(oc, s, i)):
+    it steps outside the observational support: first at a reached history
+    of zero probability, then at a reached (history, action) pair."""
+    w = np.ones(())
+    for i in range(1, oc.n_stages + 1):
+        masked = (w > 0.0) & ~oc.masks[i - 1]
         if masked.any():
             raise MaskedHistoryReachable(i, dict(zip(oc.hist_vars[i - 1], _first_true(masked))))
+        w = _walk_stage(oc, i, w, _strategy_kernel(oc, s, i))
+        unsupported = (w > 0.0) & ~oc.masks[i]
         if unsupported.any():
             cfg = _first_true(unsupported)
             hist = oc.hist_vars[i - 1] + oc.block_vars[i - 1]

@@ -90,12 +90,13 @@ class Dag:
         """A Dag from each node's parent ids in ascending order.
 
         The parents are derived from an already validated graph, so labels
-        and endpoints are not checked again.  An edge to a higher id, or out
-        of a parentless node, cannot close a cycle; if any edge is neither,
-        the depth-first order runs and raises CycleDetected as build_dag
-        would.
+        and endpoints are not checked again; the graph may carry the regime
+        node beyond a diagram's ``MAX_NODES`` variables.  An edge to a higher
+        id, or out of a parentless node, cannot close a cycle; if any edge is
+        neither, the depth-first order runs and raises CycleDetected as
+        build_dag would.
         """
-        _check_size(labels)
+        _check_size(labels, MAX_NODES + 1)
         g = cls(labels, frozenset((p, v) for v, ps in enumerate(parents) for p in ps))
         g.__dict__["parents"] = parents
         for v, ps in enumerate(parents):
@@ -154,9 +155,9 @@ class Dag:
         )
 
 
-def _check_size(labels: tuple[str, ...]) -> None:
-    if len(labels) > MAX_NODES:
-        raise TooManyNodes(f"{len(labels)} nodes exceed the supported maximum of {MAX_NODES}")
+def _check_size(labels: tuple[str, ...], cap: int = MAX_NODES) -> None:
+    if len(labels) > cap:
+        raise TooManyNodes(f"{len(labels)} nodes exceed the supported maximum of {cap}")
 
 
 def _mask(g: Dag, labels: Iterable[str]) -> int:

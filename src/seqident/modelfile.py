@@ -172,6 +172,8 @@ def parse_model_file(text: str) -> ParsedModelFile:
             if name.text == REGIME:
                 err(name, f"{REGIME!r} is reserved for the regime node")
                 continue
+            if len(var_decls) == MAX_NODES:
+                err(name, f"{name.text!r} is variable {MAX_NODES + 1}; the maximum is {MAX_NODES}")
             var_names.add(name.text)
             var_decls.append((name.text, kind.text, int(m.group(1))))
         elif head.text == "edge":

@@ -9,6 +9,7 @@ dynamic program.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -22,13 +23,14 @@ from .evaluate import (
     _expand_kernel,
     _first_true,
     _loss_table,
-    _support_walk,
+    _sum_block,
+    _walk_stage,
     check_recursion_support,
 )
 from .prob import LossFunction
 from .strategy import Strategy, StrategyEnumeration, enumerate_deterministic, make_stochastic
 
-_CHUNK_CELLS = 2**15  # cap on the cells of one strategy-batched table in brute force
+_CHUNK_CELLS = 2**15  # cap on the cells of one batched table in brute force
 
 
 @dataclass(eq=False)
@@ -106,38 +108,113 @@ def optimize_backward(
     )
 
 
+def _blocks(outer: int, inner: int, rows: int) -> Iterator[tuple[slice, slice]]:
+    """Split the outer × inner grid of pairs into blocks of at most ``rows``
+    pairs (one at least), in row-major order: whole inner rows while they
+    fit, else one outer index and a slice of the inner axis at a time."""
+    di = min(inner, rows)
+    do = max(1, rows // di)
+    for o in range(0, outer, do):
+        for i in range(0, inner, di):
+            yield slice(o, min(o + do, outer)), slice(i, min(i + di, inner))
+
+
+def _suffix_values(
+    oc: ObservationalConditionals,
+    stream: StrategyEnumeration,
+    j: int,
+    f: np.ndarray,
+    pos: np.ndarray,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Carry continuation values from action j's stage down to the empty history.
+
+    ``f[r]`` is the value table before action j is reduced, for the r-th
+    choice-table suffix (actions j+1..n) whose index is ``pos[r]``.  Gathering
+    with every choice table of action j prepends its axis, so the new suffix
+    index is ``choice * S + pos``, S being the number of old suffixes.  Blocks
+    keep each table under ``_CHUNK_CELLS`` and go down on their own; yields
+    ``(strategy indices, values)`` once j reaches 0.
+    """
+    if j == 0:
+        yield pos, f
+        return
+    size, span = stream._radices[j - 1], math.prod(stream._radices[j:])
+    table, nb = oc.tables[j - 1], len(oc.block_vars[j - 1])
+    orders = stream._parent_orders[j - 1]
+    for cs, ss in _blocks(size, len(pos), max(1, _CHUNK_CELLS // table.size)):
+        c = np.arange(cs.start, cs.stop)
+        chosen = _expand_kernel(oc, j, stream._tables(j - 1, c)[..., None], orders)
+        g = np.take_along_axis(f[None, ss], chosen[:, None], axis=-1)[..., 0]
+        g = _sum_block(table, g.reshape((-1,) + g.shape[2:]), nb)
+        yield from _suffix_values(oc, stream, j - 1, g, (c[:, None] * span + pos[None, ss]).ravel())
+
+
+def _first_failing(
+    oc: ObservationalConditionals,
+    stream: StrategyEnumeration,
+    i: int,
+    w: np.ndarray,
+    pos: np.ndarray,
+) -> int | None:
+    """The smallest strategy index whose support walk is flagged at stage i or
+    later, among the extensions of the choice-table prefixes (actions
+    1..i-1) with indices ``pos``; ``w[r]`` is prefix r's walk weight over
+    stage i's history.
+
+    Only unsupported (history, action) pairs are checked: a reached history
+    of zero probability at stage i+1 is such a pair at stage i, and the empty
+    history always has probability one.  A prefix's flags do not depend on
+    later choices, so a prefix flagged at index p fails first at p × (number
+    of suffixes), and only smaller prefixes are walked on.  Prefix blocks go
+    in increasing order, so the first block with a flag holds the answer.
+    """
+    if i > oc.n_stages or not len(pos):
+        return None
+    size, span = stream._radices[i - 1], math.prod(stream._radices[i:])
+    eye = np.eye(oc.states[oc.action_labels[i - 1]])
+    for ps, cs in _blocks(len(pos), size, max(1, _CHUNK_CELLS // oc.masks[i].size)):
+        c = np.arange(cs.start, cs.stop)
+        kernel = _expand_kernel(oc, i, eye[stream._tables(i - 1, c)], stream._parent_orders[i - 1])
+        v = _walk_stage(oc, i, w[ps, None], kernel).reshape((-1,) + oc.masks[i].shape)
+        vpos = (pos[ps, None] * size + c[None]).ravel()
+        found = None
+        unsupported = ((v > 0.0) & ~oc.masks[i]).reshape(len(vpos), -1).any(axis=1)
+        if unsupported.any():
+            r = int(np.argmax(unsupported))
+            found, v, vpos = int(vpos[r]) * span, v[:r], vpos[:r]
+        deeper = _first_failing(oc, stream, i + 1, v, vpos)
+        if deeper is not None:
+            return deeper
+        if found is not None:
+            return found
+    return None
+
+
 def _candidate_values(
     oc: ObservationalConditionals, stream: StrategyEnumeration, k: LossFunction
-) -> Iterator[tuple[int, np.ndarray]]:
-    """g-recursion values of every enumerated strategy, as ``(first index, values)`` chunks.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """g-recursion values of every enumerated strategy, as ``(indices, values)`` blocks.
 
-    The recursion of ``evaluate_g_recursion`` on a leading strategy axis.  An
-    indicator kernel row makes the action average a gather of the chosen entry,
-    bitwise equal to evaluating each strategy on its own.  Without full
-    positivity each chunk first takes the support walk with indicator kernels
-    (1.0 or 0.0 entries, so each strategy's flags are those of its own walk),
-    and the first flagged strategy is rebuilt to raise.
+    A strategy is one choice table per action, and its index is mixed radix
+    over them, the first action most significant.  Stage i of the recursion
+    depends only on the choice tables of actions i..n, so the backward pass
+    runs once per such suffix (``_suffix_values``): an indicator kernel makes
+    the action average a gather of the chosen entry, and every candidate's
+    value is the same float operations as evaluating it on its own, bitwise.
+    The blocks are not in index order; together they cover every index once.
+
+    Without full positivity the support walk runs once per prefix instead
+    (``_first_failing``), and the first flagged strategy is rebuilt so that
+    ``check_recursion_support`` raises exactly what evaluating it would.
+    Some strategy is always flagged then: the one that takes the gap's
+    history actions unconditionally, then the unobserved state, reaches it.
     """
-    loss = _loss_table(oc, k)[None]
-    orders = stream._parent_orders
-    eyes = None if _positivity_gap(oc) is None else [np.eye(oc.states[a]) for a in oc.action_labels]
-    # largest batched table: a stage's history and block (times its action in the walk) per strategy
-    chunk = max(1, _CHUNK_CELLS // max([t.size for t in oc.tables[: oc.n_stages]], default=1))
-    for lo in range(0, stream.count, chunk):
-        choices = stream._choices(np.arange(lo, min(lo + chunk, stream.count)))
-        if eyes is not None:
-            n = len(choices[0])
-            kernel = lambda i: _expand_kernel(oc, i, eyes[i - 1][choices[i - 1]], orders[i - 1])
-            cells = [c for _, *both in _support_walk(oc, kernel, (n,)) for c in both]
-            flagged = np.flatnonzero(np.any([c.reshape(n, -1).any(axis=1) for c in cells], axis=0))
-            if flagged.size:
-                check_recursion_support(oc, next(stream._build([lo + int(flagged[0])])))
-
-        def gather(i: int, f: np.ndarray) -> np.ndarray:
-            chosen = _expand_kernel(oc, i, choices[i - 1][..., None], orders[i - 1])
-            return np.take_along_axis(f, chosen, axis=-1)[..., 0]
-
-        yield lo, _backward(oc, loss, gather)
+    if _positivity_gap(oc) is not None:
+        first = _first_failing(oc, stream, 1, np.ones(1), np.zeros(1, dtype=np.int64))
+        check_recursion_support(oc, next(stream._build([first])))
+    n = oc.n_stages
+    f = _sum_block(oc.tables[n], _loss_table(oc, k), len(oc.block_vars[n]))
+    yield from _suffix_values(oc, stream, n, f[None], np.zeros(1, dtype=np.int64))
 
 
 def optimize_bruteforce(
@@ -152,19 +229,19 @@ def optimize_bruteforce(
     The objective is maximised: the value of a strategy is the expected value
     of the table named ``loss``, exactly as ``evaluate_g_recursion`` computes
     it, and ``argmax`` lists every strategy attaining the largest value in
-    enumeration order.  Candidates are evaluated in chunks along a strategy
-    axis; ``Strategy`` objects are built only for the argmax set.
+    enumeration order.  ``_candidate_values`` shares each stage of the
+    recursion among all strategies that agree on the later actions' choice
+    tables; ``Strategy`` objects are built only for the argmax set.
     """
     stream = enumerate_deterministic(d, oc.states, spec, cap=cap)
     best: float | None = None
     winners: list[np.ndarray] = []
-    for lo, values in _candidate_values(oc, stream, k):
-        top = values.max()
+    for idx, values in _candidate_values(oc, stream, k):
+        top = float(values.max())
         if best is None or top > best:
-            hits = np.flatnonzero(values == top)
-            best, winners = float(values[hits[0]]), [lo + hits]
+            best, winners = top, [idx[values == top]]
         elif top == best:
-            winners.append(lo + np.flatnonzero(values == top))
+            winners.append(idx[values == top])
     assert best is not None and winners
-    argmax = tuple(stream._build(np.concatenate(winners).tolist()))
+    argmax = tuple(stream._build(np.sort(np.concatenate(winners)).tolist()))
     return OptimizationResult(value=best, strategy=argmax[0], argmax=argmax)

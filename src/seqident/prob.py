@@ -13,9 +13,9 @@ One way to sum a product down: ``_contract`` eliminates the dropped
 variables one at a time and multiplies what is left over the kept ones.
 The oracle-side queries (``evaluate_oracle``, ``evaluate_decomposition``,
 ``check_positivity``, ``check_theorem1_numeric`` and ``dsep --numeric``)
-keep a few variables.  The dense builders (``joint``, ``mixed_joint_pi``,
-``regime_mixture_joint`` and ``dag_joint``) keep every variable, so their
-table is the plain product; ``observational_conditionals`` reads it.
+keep a few variables.  The dense builders (``joint``, ``mixed_joint_pi``
+and ``dag_joint``) keep every variable, so their table is the plain
+product; ``observational_conditionals`` reads it.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .diagram import REGIME, StagedDiagram, VarKind
+from .diagram import StagedDiagram, VarKind
 from .errors import (
     OverlappingSets,
     StageOutOfRange,
     StateSpaceTooLarge,
     UnknownNode,
-    ZeroProbabilityEvidence,
 )
 from .graph import MAX_NODES, Dag
 from .strategy import Strategy
@@ -266,15 +265,6 @@ def mixed_joint_pi(m: DiscreteModel, d: StagedDiagram, s: Strategy, i: int) -> J
     return JointTable(d.labels, _contract(d.labels, m.states, _spliced_factors(m, d, s, i), d.labels))
 
 
-def regime_mixture_joint(m: DiscreteModel, d: StagedDiagram, s: Strategy) -> JointTable:
-    """Joint over the diagram variables plus the regime indicator.
-
-    State 0 of the regime node carries the observational joint with mass
-    0.5, state 1 the strategy joint with the rest.
-    """
-    return JointTable(d.labels + (REGIME,), _regime_mixture(m, d, s, d.labels))
-
-
 def marginal(j: JointTable, keep: Iterable[str]) -> JointTable:
     """Sum out everything not in ``keep``; axis order follows the source table."""
     keep_set = set(keep)
@@ -284,30 +274,6 @@ def marginal(j: JointTable, keep: Iterable[str]) -> JointTable:
     drop = tuple(ax for ax, lab in enumerate(j.labels) if lab not in keep_set)
     labels = tuple(lab for lab in j.labels if lab in keep_set)
     return JointTable(labels=labels, table=j.table.sum(axis=drop))
-
-
-def condition(
-    j: JointTable, targets: Iterable[str], evidence: Mapping[str, int]
-) -> JointTable:
-    """Renormalised slice over the targets given a partial configuration."""
-    targets = tuple(targets)
-    overlap = set(targets) & set(evidence)
-    if overlap:
-        raise OverlappingSets(f"targets overlap evidence: {sorted(overlap)}")
-    idx: list[object] = [slice(None)] * j.table.ndim
-    for var, state in evidence.items():
-        ax = j.axis(var)
-        if not 0 <= state < j.table.shape[ax]:
-            raise ZeroProbabilityEvidence(dict(evidence))
-        idx[ax] = state
-    sliced = j.table[tuple(idx)]
-    kept = tuple(lab for lab in j.labels if lab not in evidence)
-    sub = JointTable(labels=kept, table=sliced)
-    out = marginal(sub, targets)
-    total = out.table.sum()
-    if total <= 0.0:
-        raise ZeroProbabilityEvidence(dict(evidence))
-    return JointTable(labels=out.labels, table=out.table / total)
 
 
 def expectation(j: JointTable, k: LossFunction) -> float:

@@ -216,24 +216,41 @@ class StrategyEnumeration:
     def _parent_orders(self) -> tuple[tuple[str, ...], ...]:
         return tuple(kernel_parent_order(self._d, self._spec, a) for a in self._d.actions)
 
-    def _choices(self, idx: Sequence[int]) -> tuple[np.ndarray, ...]:
-        """Decode strategy indices into chosen action states.
+    @cached_property
+    def _radices(self) -> tuple[int, ...]:
+        """Per action, how many choice tables it has: one digit of a strategy index."""
+        return tuple(
+            self._states[a] ** math.prod(self._states[p] for p in parents)
+            for a, parents in zip(self._d.actions, self._parent_orders)
+        )
 
-        Returns one integer array per action, of shape ``(len(idx), *parent
-        shape)``.  Mixed-radix decode: the first action is the most
-        significant digit, and within an action the first history row is;
-        this yields lexicographic order over the concatenated kernel tables.
+    def _tables(self, j: int, idx: Sequence[int]) -> np.ndarray:
+        """Decode choice-table indices of the j-th action (from 0) into chosen states.
+
+        Returns an integer array of shape ``(len(idx), *parent shape)``.
+        Mixed-radix decode with the first history row as the most
+        significant digit, so tables come in lexicographic order.
         """
+        a, parents = self._d.actions[j], self._parent_orders[j]
+        n = self._states[a]
+        pshape = tuple(self._states[p] for p in parents)
+        rem = np.array(idx, dtype=np.int64)
+        digits = np.empty((rem.size, math.prod(pshape)), dtype=np.int64)
+        for row in range(digits.shape[1] - 1, -1, -1):
+            digits[:, row] = rem % n
+            rem //= n
+        return digits.reshape((rem.size,) + pshape)
+
+    def _choices(self, idx: Sequence[int]) -> tuple[np.ndarray, ...]:
+        """Decode strategy indices into chosen action states, one ``_tables``
+        array per action.  A strategy index is mixed radix over the actions'
+        table counts, the first action most significant; this yields
+        lexicographic order over the concatenated kernel tables."""
         rem = np.array(idx, dtype=np.int64)
         out = []
-        for a, parents in reversed(list(zip(self._d.actions, self._parent_orders))):
-            n = self._states[a]
-            pshape = tuple(self._states[p] for p in parents)
-            digits = np.empty((rem.size, math.prod(pshape)), dtype=np.int64)
-            for row in range(digits.shape[1] - 1, -1, -1):
-                digits[:, row] = rem % n
-                rem //= n
-            out.append(digits.reshape((rem.size,) + pshape))
+        for j in reversed(range(len(self._radices))):
+            out.append(self._tables(j, rem % self._radices[j]))
+            rem //= self._radices[j]
         return tuple(reversed(out))
 
     def _build(self, idx: Sequence[int]) -> Iterator[Strategy]:

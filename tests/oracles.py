@@ -13,15 +13,18 @@ Then come the per-configuration loops that ``ci_deviation`` and
 ``check_positivity`` ran before they worked on whole arrays, and the array
 code must match them bit for bit.  Then come the decomposition and the
 splice check as they ran on dense joints, before those queries summed
-variables out one at a time.  The last one is the dense product as it was
+variables out one at a time.  Then comes the dense product as it was
 built before every table went through ``prob._contract``; the dense
-builders must reproduce it bit for bit.
+builders must reproduce it bit for bit.  Last are two dense-table helpers
+that only the tests use: conditioning a joint on evidence, and the joint
+with the regime indicator that ``dsep --numeric`` sums down.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -39,8 +42,15 @@ from seqident import (
     kernel,
 )
 from seqident.diagram import VarKind, kernel_parent_order
-from seqident.errors import NoRegimeNode
-from seqident.prob import PositivityIssue, joint, marginal, mixed_joint_pi
+from seqident.errors import NoRegimeNode, OverlappingSets, SeqidentError
+from seqident.prob import (
+    JointTable,
+    PositivityIssue,
+    _regime_mixture,
+    joint,
+    marginal,
+    mixed_joint_pi,
+)
 from seqident.stability import CheckEntry, IdentificationReport
 
 
@@ -470,3 +480,43 @@ def product_joint_reference(labels, states, factors) -> np.ndarray:
             view[ax] = shape[ax]
         out *= np.transpose(arr, np.argsort(axes)).reshape(view)
     return out
+
+
+class ZeroProbabilityEvidence(SeqidentError):
+    def __init__(self, evidence: dict[str, int]):
+        self.evidence = dict(evidence)
+        rendered = ", ".join(f"{v}={s}" for v, s in evidence.items())
+        super().__init__(f"conditioning event has zero probability: {rendered}")
+
+
+def regime_mixture_joint(m: DiscreteModel, d: StagedDiagram, s: Strategy) -> JointTable:
+    """Joint over the diagram variables plus the regime indicator.
+
+    State 0 of the regime node carries the observational joint with mass
+    0.5, state 1 the strategy joint with the rest.
+    """
+    return JointTable(d.labels + (REGIME,), _regime_mixture(m, d, s, d.labels))
+
+
+def condition(
+    j: JointTable, targets: Iterable[str], evidence: Mapping[str, int]
+) -> JointTable:
+    """Renormalised slice over the targets given a partial configuration."""
+    targets = tuple(targets)
+    overlap = set(targets) & set(evidence)
+    if overlap:
+        raise OverlappingSets(f"targets overlap evidence: {sorted(overlap)}")
+    idx: list[object] = [slice(None)] * j.table.ndim
+    for var, state in evidence.items():
+        ax = j.axis(var)
+        if not 0 <= state < j.table.shape[ax]:
+            raise ZeroProbabilityEvidence(dict(evidence))
+        idx[ax] = state
+    sliced = j.table[tuple(idx)]
+    kept = tuple(lab for lab in j.labels if lab not in evidence)
+    sub = JointTable(labels=kept, table=sliced)
+    out = marginal(sub, targets)
+    total = out.table.sum()
+    if total <= 0.0:
+        raise ZeroProbabilityEvidence(dict(evidence))
+    return JointTable(labels=out.labels, table=out.table / total)

@@ -61,6 +61,40 @@ class TestValidate:
         assert "Is a directory" in err and "Traceback" not in err
 
 
+def _wide_file(tmp_path, n_vars: int) -> Path:
+    # one stage: hidden variables, then the action and the outcome
+    lines = ["stages 1"] + [f"var U{j} hidden stage=1" for j in range(1, n_vars - 1)]
+    lines += ["var A1 action stage=1", "var Y outcome stage=2", "edge U1 -> Y", "edge A1 -> Y"]
+    p = tmp_path / f"wide{n_vars}.sid"
+    p.write_text("\n".join(lines) + "\n")
+    return p
+
+
+class TestNodeCap:
+    """``validate`` and ``check`` agree on the variable cap: the regime node
+    comes on top of the diagram's variables."""
+
+    def test_at_the_cap_validates_and_checks(self, capsys, tmp_path):
+        from seqident.graph import MAX_NODES
+
+        p = _wide_file(tmp_path, MAX_NODES)
+        assert run(capsys, "validate", str(p)) == (0, "ok\n", "")
+        code, out, err = run(capsys, "check", "--all", str(p))
+        assert code == 0 and err == ""
+        assert "verdict: IdentifiedSimple" in out
+        code, out, err = run(capsys, "dsep", str(p), "Y", "/", "sigma", "/", "A1")
+        assert code == 0 and "separated" in out
+
+    @pytest.mark.parametrize("command", [["validate"], ["check", "--all"], ["report"]])
+    def test_over_the_cap_is_a_located_usage_error(self, capsys, tmp_path, command):
+        from seqident.graph import MAX_NODES
+
+        p = _wide_file(tmp_path, MAX_NODES + 1)
+        code, out, err = run(capsys, *command, str(p))
+        assert code == 2 and out == ""
+        assert err == f"line 26, col 5: 'Y' is variable 25; the maximum is {MAX_NODES}\n"
+
+
 class TestDsep:
     def test_separated_exit_zero(self, capsys, models_dir):
         code, out, _ = run(
@@ -268,6 +302,25 @@ class TestFuzz:
 
 
 class TestReport:
+    @pytest.mark.parametrize("name, full_value", [("fig2b", "0.8"), ("dominance", "0.89")])
+    def test_optimum_for_the_given_spec(self, capsys, models_dir, name, full_value):
+        # under a restricted spec the optimum is brute force's, as `optimize`
+        # prints it; on dominance it is below the full-history optimum
+        f = str(models_dir / f"{name}.sid")
+        code, out, _ = run(capsys, "optimize", f, "--spec", "none")
+        assert code == 0
+        value, size = out.splitlines()
+        assert value.startswith("value ") and size.startswith("argmax set size ")
+        code, text, _ = run(capsys, "report", f, "--spec", "none")
+        assert code == 0
+        assert text.splitlines()[-2:] == ["optimal " + value, size]
+        code, out, _ = run(capsys, "report", f, "--spec", "none", "--format", "json")
+        assert code == 0
+        table = json.loads(out)["strategy_table"]
+        assert table == {"value": float(value.split()[1]), "argmax_size": int(size.split()[-1])}
+        code, full, _ = run(capsys, "report", f)
+        assert code == 0 and full.splitlines()[-1] == f"optimal value {full_value}"
+
     def test_json_shape(self, capsys, models_dir):
         code, out, _ = run(
             capsys,

@@ -20,8 +20,8 @@ from seqident.errors import (
     DuplicateEdge,
     InvalidParentSpec,
     NoRegimeNode,
-    RegimeAlreadyPresent,
     StageOutOfRange,
+    TooManyNodes,
     UnknownLabel,
 )
 from seqident.fuzz import random_parent_spec, random_staged_diagram
@@ -47,6 +47,22 @@ class TestConstruction:
     def test_reserved_regime_label(self):
         with pytest.raises(UnknownLabel):
             staged_diagram(1, [("sigma", "covariate", 1), ("A1", "action", 1), ("Y", "outcome", 2)], [])
+
+    def test_regime_graphs_have_room_for_the_regime_node(self):
+        from seqident.graph import MAX_NODES
+
+        def wide(n):
+            hidden = [(f"U{j}", "hidden", 1) for j in range(1, n - 1)]
+            return staged_diagram(1, hidden + [("A1", "action", 1), ("Y", "outcome", 2)], [])
+
+        d = wide(MAX_NODES)
+        assert len(d.dag.labels) == MAX_NODES
+        assert len(d.regime_dag.labels) == MAX_NODES + 1
+        assert len(build_check_graph(d, full_history_spec(d), 1).labels) == MAX_NODES + 1
+        d = wide(MAX_NODES + 1)
+        for graph in (lambda: d.dag, lambda: d.regime_dag):
+            with pytest.raises(TooManyNodes):
+                graph()
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(DuplicateEdge):
@@ -111,10 +127,6 @@ class TestRegime:
         d = staged_diagram(1, [("A1", "action", 1), ("Y", "outcome", 2)], [("A1", "Y")])
         g = augment_with_regime(d)
         assert [e for e in g.edge_labels() if "sigma" in e] == [("sigma", "A1")]
-
-    def test_augment_twice_rejected(self, fig2a):
-        with pytest.raises(RegimeAlreadyPresent):
-            augment_with_regime(augment_with_regime(fig2a))
 
     def test_augment_built_once_per_diagram(self, fig2a):
         rng = np.random.default_rng(4)

@@ -237,7 +237,11 @@ def _zero_column(m, action, state):
 def _assert_matches_reference(oc, d, k, spec):
     ref, values = bruteforce_reference(oc, d, k, spec)
     stream = enumerate_deterministic(d, oc.states, spec)
-    batched = np.concatenate([v for _, v in _candidate_values(oc, stream, k)])
+    blocks = list(_candidate_values(oc, stream, k))
+    idx = np.concatenate([i for i, _ in blocks])
+    assert np.array_equal(np.sort(idx), np.arange(stream.count))  # every candidate once
+    batched = np.empty(stream.count)
+    batched[idx] = np.concatenate([v for _, v in blocks])
     assert batched.tobytes() == np.array(values).tobytes()  # no tolerance
     bf = optimize_bruteforce(oc, d, k, spec)
     assert repr(bf.value) == repr(ref.value)
@@ -284,7 +288,9 @@ class TestBatchedBruteForce:
         d, m = dominance
         _assert_matches_reference(observational_conditionals(m, d), d, unit_loss, _spec(d, spec))
 
-    def test_random_block_diagrams_match_reference(self):
+    @pytest.mark.parametrize("cells", [1, 40, None])
+    def test_random_block_diagrams_match_reference(self, monkeypatch, cells):
+        _cap_cells(monkeypatch, cells)
         rng = np.random.default_rng(303)
         done = 0
         while done < 36:
@@ -305,7 +311,9 @@ class TestBatchedBruteForce:
         oc = observational_conditionals(_zero_column(fig2b_model, action, state), fig2b)
         _assert_same_error(oc, fig2b, unit_loss, _spec(fig2b, spec))
 
-    def test_random_zeroed_columns_raise_like_reference(self):
+    @pytest.mark.parametrize("cells", [1, 40, None])
+    def test_random_zeroed_columns_raise_like_reference(self, monkeypatch, cells):
+        _cap_cells(monkeypatch, cells)
         rng = np.random.default_rng(304)
         done = 0
         while done < 30:
@@ -346,6 +354,68 @@ class TestBatchedBruteForce:
         with pytest.raises(PositivityViolation) as exc:
             optimize_bruteforce(oc, fig2b, unit_loss, _spec(fig2b, spec))
         assert exc.value.stage == 2
+
+    @pytest.mark.parametrize("spec", ["A3:L3", "A2:L2", "A1:L1"])
+    def test_three_stages_split_suffix_axis(self, monkeypatch, unit_loss, spec):
+        # 40 cells hold one stage-3 table (32 cells) at a time: the choice tables
+        # of A3 are carried to stage 1 one by one, and their values land at
+        # strided strategy indices
+        _cap_cells(monkeypatch, 40)
+        d, m = _three_stages()
+        oc = observational_conditionals(m, d)
+        stream = enumerate_deterministic(d, oc.states, _spec(d, spec))
+        blocks = [idx for idx, _ in _candidate_values(oc, stream, unit_loss)]
+        assert len(blocks) == stream._radices[2] > 1
+        assert not any(np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))) for idx in blocks)
+        _assert_matches_reference(oc, d, unit_loss, _spec(d, spec))
+
+    @pytest.mark.parametrize("cells", [1, 40, None])
+    @pytest.mark.parametrize("spec", ["none", "A3:L3", "A1:L1"])
+    def test_first_failing_candidate_fails_at_stage_three(
+        self, monkeypatch, unit_loss, spec, cells
+    ):
+        # A1=1 is never seen at L1=1 and A3=1 never at L3=1: the first failing
+        # candidate fails at stage 3 while a later one already fails at stage 1
+        _cap_cells(monkeypatch, cells)
+        d, m = _three_stages()
+        m.cpts["A1"] = np.array([[0.7, 0.3], [1.0, 0.0]])
+        m.cpts["A3"] = np.array([[0.6, 0.4], [1.0, 0.0]])
+        oc = observational_conditionals(m, d)
+        stages = []
+        for s in enumerate_deterministic(d, oc.states, _spec(d, spec)):
+            try:
+                check_recursion_support(oc, s)
+            except PositivityViolation as exc:
+                stages.append(exc.stage)
+        assert stages[0] == 3 and 1 in stages
+        _assert_same_error(oc, d, unit_loss, _spec(d, spec))
+        with pytest.raises(PositivityViolation) as exc:
+            optimize_bruteforce(oc, d, unit_loss, _spec(d, spec))
+        assert exc.value.stage == 3
+
+    @pytest.mark.parametrize("cells", [1, None])
+    def test_walk_stops_below_a_flagged_prefix(self, monkeypatch, unit_loss, cells):
+        # A1=0 is never seen at L1=1, so the first two candidates fail at stage
+        # 1; the last, A1=1 then A2=1, fails only at stage 2 and must not win
+        _cap_cells(monkeypatch, cells)
+        d = staged_diagram(
+            2,
+            [("L1", "covariate", 1), ("A1", "action", 1), ("A2", "action", 2), ("Y", "outcome", 3)],
+            [("L1", "A1"), ("A1", "A2"), ("L1", "Y"), ("A1", "Y"), ("A2", "Y")],
+        )
+        m = random_model(np.random.default_rng(306), d, state_choices=(2,))
+        m.cpts["A1"] = np.array([[0.5, 0.5], [0.0, 1.0]])
+        m.cpts["A2"] = np.array([[0.5, 0.5], [1.0, 0.0]])
+        oc = observational_conditionals(m, d)
+        stages = []
+        for s in enumerate_deterministic(d, oc.states, unconditional_spec(d)):
+            try:
+                check_recursion_support(oc, s)
+                stages.append(None)
+            except PositivityViolation as exc:
+                stages.append(exc.stage)
+        assert stages == [1, 1, None, 2]
+        _assert_same_error(oc, d, unit_loss, unconditional_spec(d))
 
     def test_one_walk_and_one_strategy_to_raise(self, fig2b, fig2b_model, monkeypatch):
         import seqident.evaluate
@@ -399,6 +469,23 @@ class TestBatchedBruteForce:
         assert enumerate_deterministic(fig2b, oc.states, full).count == 1024
         assert calls["evaluate_g_recursion"] == calls["check_recursion_support"] == 0
         assert 1 <= calls["_make"] <= len(bf.argmax)
+
+
+def _cap_cells(monkeypatch, cells):
+    import seqident.optimize
+
+    if cells is not None:
+        monkeypatch.setattr(seqident.optimize, "_CHUNK_CELLS", cells)
+
+
+def _three_stages():
+    variables = [("Y", "outcome", 4)]
+    for i in (1, 2, 3):
+        variables += [(f"L{i}", "covariate", i), (f"A{i}", "action", i)]
+    edges = [("L1", "A1"), ("L1", "L2"), ("A1", "L2"), ("L2", "A2"), ("A2", "L3")]
+    edges += [("L3", "A3"), ("L3", "Y"), ("A1", "Y"), ("A2", "Y"), ("A3", "Y")]
+    d = staged_diagram(3, variables, edges)
+    return d, random_model(np.random.default_rng(305), d, state_choices=(2,))
 
 
 def _small(d, m, spec):

@@ -14,7 +14,6 @@ from seqident import (
     check_positivity,
     ci_deviation,
     ci_holds,
-    condition,
     dag_joint,
     expectation,
     full_history_spec,
@@ -24,7 +23,6 @@ from seqident import (
     marginal,
     mixed_joint_pi,
     parent_spec,
-    regime_mixture_joint,
     staged_diagram,
     unconditional_spec,
     validate_model,
@@ -32,7 +30,7 @@ from seqident import (
 from seqident import prob, stability
 from seqident.cli import _dsep_gap
 from seqident.diagram import REGIME
-from seqident.errors import StageOutOfRange, StateSpaceTooLarge, ZeroProbabilityEvidence
+from seqident.errors import StageOutOfRange, StateSpaceTooLarge
 from seqident.evaluate import evaluate_decomposition, evaluate_oracle
 from seqident.graph import MAX_NODES
 from seqident.modelfile import ParsedModelFile
@@ -49,13 +47,16 @@ from seqident.fuzz import (
 from seqident.strategy import from_observational
 
 from .oracles import (
+    ZeroProbabilityEvidence,
     brute_conditional,
     brute_expectation,
     brute_joint,
     ci_deviation_reference,
+    condition,
     decomposition_reference,
     positivity_issues_reference,
     product_joint_reference,
+    regime_mixture_joint,
     splice_parts,
     splice_reference,
 )

@@ -14,6 +14,7 @@ from seqident import (
     make_stochastic,
     make_unconditional,
     parent_spec,
+    staged_diagram,
     strategies_equal,
     unconditional_spec,
 )
@@ -163,6 +164,19 @@ class TestEnumeration:
                 fig2b, fig2b_model.states, full_history_spec(fig2b), cap=100
             )
         assert exc.value.count == 1024
+        assert str(exc.value) == "1024 strategies exceed the enumeration cap of 100"
+
+    def test_cap_message_for_a_huge_count(self):
+        # A1 sees 14 binary covariates: 2**(2**14) strategies, a 4933-digit count
+        covs = [(f"L{j}", "covariate", 1) for j in range(14)]
+        d = staged_diagram(
+            1, covs + [("A1", "action", 1), ("Y", "outcome", 2)], [(c, "A1") for c, *_ in covs]
+        )
+        states = {v.label: 2 for v in d.vars}
+        with pytest.raises(EnumerationTooLarge) as exc:
+            enumerate_deterministic(d, states, full_history_spec(d))
+        assert exc.value.count == 2 ** 2**14
+        assert str(exc.value) == "over 10**4932 strategies exceed the enumeration cap of 1000000"
 
     def test_stream_is_duplicate_free_and_valid(self):
         rng = np.random.default_rng(13)
