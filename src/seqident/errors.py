@@ -82,16 +82,6 @@ class PositivityViolation(SeqidentError):
         )
 
 
-class MaskedHistoryReachable(SeqidentError):
-    def __init__(self, stage: int, history: dict[str, int]):
-        self.stage = stage
-        self.history = dict(history)
-        rendered = ", ".join(f"{v}={s}" for v, s in history.items()) or "(empty history)"
-        super().__init__(
-            f"stage {stage}: observational conditional undefined at reachable history {rendered}"
-        )
-
-
 class InternalTheorem2Violation(SeqidentError):
     """The general criterion passed while simple stability failed on a
     full-history problem satisfying both regularity assumptions.  This is

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .diagram import StagedDiagram
-from .errors import MaskedHistoryReachable, PositivityViolation
+from .errors import PositivityViolation
 from .prob import (
     DiscreteModel,
     JointTable,
@@ -152,14 +152,12 @@ def _walk_stage(
 
 
 def check_recursion_support(oc: ObservationalConditionals, s: Strategy) -> None:
-    """Walk the strategy forward through the conditionals and fail fast where
-    it steps outside the observational support: first at a reached history
-    of zero probability, then at a reached (history, action) pair."""
+    """Walk the strategy forward through the conditionals and fail fast at the
+    first reached (history, action) pair outside the observational support.
+    A reached history of zero probability at stage i+1 is such a pair at
+    stage i, and the stage-1 history is the empty one, of probability one."""
     w = np.ones(())
     for i in range(1, oc.n_stages + 1):
-        masked = (w > 0.0) & ~oc.masks[i - 1]
-        if masked.any():
-            raise MaskedHistoryReachable(i, dict(zip(oc.hist_vars[i - 1], _first_true(masked))))
         w = _walk_stage(oc, i, w, _strategy_kernel(oc, s, i))
         unsupported = (w > 0.0) & ~oc.masks[i]
         if unsupported.any():

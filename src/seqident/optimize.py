@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .diagram import StagedDiagram, StrategyParentSpec, is_full_history
+from .diagram import StagedDiagram, StrategyParentSpec, is_full_history, kernel_parent_order
 from .errors import InvalidParentSpec, PositivityViolation
 from .evaluate import (
     ObservationalConditionals,
@@ -28,7 +28,7 @@ from .evaluate import (
     check_recursion_support,
 )
 from .prob import LossFunction
-from .strategy import Strategy, StrategyEnumeration, enumerate_deterministic, make_stochastic
+from .strategy import Strategy, StrategyEnumeration, enumerate_deterministic
 
 _CHUNK_CELLS = 2**15  # cap on the cells of one batched table in brute force
 
@@ -98,10 +98,16 @@ def optimize_backward(
         return f
 
     value = float(_backward(oc, _loss_table(oc, k), act))
-    kernels = {a: np.eye(oc.states[a])[choices[a]] for a in d.actions}
+    strategy = Strategy(  # indicator rows gathered from the identity: valid by construction
+        name="backward-opt",
+        spec=spec,
+        actions=d.actions,
+        parent_orders=tuple(kernel_parent_order(d, spec, a) for a in d.actions),
+        tables=tuple(np.eye(oc.states[a])[choices[a]] for a in d.actions),
+    )
     return OptimizationResult(
         value=value,
-        strategy=make_stochastic(d, oc.states, spec, kernels, name="backward-opt"),
+        strategy=strategy,
         choices=choices,
         choice_values=choice_values,
         unreached=unreached,
@@ -161,12 +167,10 @@ def _first_failing(
     1..i-1) with indices ``pos``; ``w[r]`` is prefix r's walk weight over
     stage i's history.
 
-    Only unsupported (history, action) pairs are checked: a reached history
-    of zero probability at stage i+1 is such a pair at stage i, and the empty
-    history always has probability one.  A prefix's flags do not depend on
-    later choices, so a prefix flagged at index p fails first at p × (number
-    of suffixes), and only smaller prefixes are walked on.  Prefix blocks go
-    in increasing order, so the first block with a flag holds the answer.
+    A prefix's flags do not depend on later choices, so a prefix flagged at
+    index p fails first at p × (number of suffixes), and only smaller
+    prefixes are walked on.  Prefix blocks go in increasing order, so the
+    first block with a flag holds the answer.
     """
     if i > oc.n_stages or not len(pos):
         return None
@@ -231,7 +235,9 @@ def optimize_bruteforce(
     it, and ``argmax`` lists every strategy attaining the largest value in
     enumeration order.  ``_candidate_values`` shares each stage of the
     recursion among all strategies that agree on the later actions' choice
-    tables; ``Strategy`` objects are built only for the argmax set.
+    tables; ``Strategy`` objects are built only for the argmax set, by
+    ``StrategyEnumeration._build``: one batched gather of indicator rows per
+    action, valid by construction, so no winner is checked again.
     """
     stream = enumerate_deterministic(d, oc.states, spec, cap=cap)
     best: float | None = None

@@ -254,15 +254,24 @@ class StrategyEnumeration:
         return tuple(reversed(out))
 
     def _build(self, idx: Sequence[int]) -> Iterator[Strategy]:
-        """The strategies at the given enumeration indices, named ``s{index}``."""
-        choices = self._choices(idx)
-        actions = self._d.actions
-        eyes = [np.eye(self._states[a]) for a in actions]
+        """The strategies at the given enumeration indices, named ``s{index}``.
+
+        Each action's indicator tables for the whole batch are one gather of
+        identity rows, so they are distributions by construction and skip
+        ``_make``'s checks; every strategy copies its own rows out of the batch.
+        """
+        batch = [np.eye(self._states[a])[c] for a, c in zip(self._d.actions, self._choices(idx))]
         for j, i in enumerate(idx):
-            kernels = {a: np.take(eye, c[j], axis=0) for a, eye, c in zip(actions, eyes, choices)}
-            yield _make(self._d, self._spec, kernels, f"s{i}")
+            yield Strategy(
+                name=f"s{i}",
+                spec=self._spec,
+                actions=self._d.actions,
+                parent_orders=self._parent_orders,
+                tables=tuple(t[j].copy() for t in batch),
+            )
 
     def __iter__(self) -> Iterator[Strategy]:
+        """Every strategy in enumeration order, built ``_ITER_CHUNK`` at a time by ``_build``."""
         for start in range(0, self.count, _ITER_CHUNK):
             yield from self._build(range(start, min(start + _ITER_CHUNK, self.count)))
 

@@ -9,9 +9,11 @@ used before it worked on node ids; the id-based code must reproduce them
 exactly.  Next to them are the regime graph, the hybrid-regime and the
 edge-deleted check graphs as ``seqident.diagram`` built them from label
 edge lists through ``build_dag``, before it derived them from parent ids.
-Then come the per-configuration loops that ``ci_deviation`` and
-``check_positivity`` ran before they worked on whole arrays, and the array
-code must match them bit for bit.  Then come the decomposition and the
+Beside the one-candidate-at-a-time brute force, its candidates are decoded
+on their own and built through ``make_deterministic``, apart from
+``StrategyEnumeration``.  Then come the per-configuration loops that
+``ci_deviation`` and ``check_positivity`` ran before they worked on whole
+arrays, and the array code must match them bit for bit.  Then come the decomposition and the
 splice check as they ran on dense joints, before those queries summed
 variables out one at a time.  Then comes the dense product as it was
 built before every table went through ``prob._contract``; the dense
@@ -40,6 +42,7 @@ from seqident import (
     enumerate_deterministic,
     evaluate_g_recursion,
     kernel,
+    make_deterministic,
 )
 from seqident.diagram import VarKind, kernel_parent_order
 from seqident.errors import NoRegimeNode, OverlappingSets, SeqidentError
@@ -353,14 +356,42 @@ def brute_g_recursion(d: StagedDiagram, m: DiscreteModel, strategy: Strategy, k_
     return over_block(1, {})
 
 
+def deterministic_candidates(d, states, spec):
+    """Every deterministic strategy in enumeration order, decoded here on its
+    own and validated through ``make_deterministic``: per action, its choice
+    tables in lexicographic order over the histories (``np.ndindex`` order);
+    across actions, the first most significant.  Named ``s{index}``."""
+    configs = [
+        list(np.ndindex(*(states[p] for p in kernel_parent_order(d, spec, a)))) for a in d.actions
+    ]
+    tables = [
+        itertools.product(range(states[a]), repeat=len(cfgs)) for a, cfgs in zip(d.actions, configs)
+    ]
+    for i, rows in enumerate(itertools.product(*tables)):
+        choices = {a: dict(zip(cfgs, row)) for a, cfgs, row in zip(d.actions, configs, rows)}
+        yield make_deterministic(d, states, spec, choices, name=f"s{i}")
+
+
+def assert_same_strategy(got: Strategy, want: Strategy) -> None:
+    """Two strategies agree in name, parent orders and every table's dtype,
+    shape and bytes, and both are deterministic."""
+    assert got.name == want.name
+    assert got.actions == want.actions and got.parent_orders == want.parent_orders
+    for tg, tw in zip(got.tables, want.tables, strict=True):
+        assert tg.dtype == tw.dtype and tg.shape == tw.shape
+        assert tg.tobytes() == tw.tobytes()
+    assert got.deterministic is True and want.deterministic is True
+
+
 def bruteforce_reference(oc, d, k, spec, cap=10**6) -> tuple[OptimizationResult, list[float]]:
-    """Brute force one candidate at a time: each enumerated strategy is a
-    validated ``Strategy`` evaluated by its own g-recursion, support walk
-    included.  Returns the result and every candidate's value in order."""
+    """Brute force one candidate at a time: each candidate of
+    ``deterministic_candidates`` is evaluated by its own g-recursion, support
+    walk included.  Returns the result and every candidate's value in order."""
+    enumerate_deterministic(d, oc.states, spec, cap=cap)  # the cap check only
     values: list[float] = []
     best_value: float | None = None
     argmax: list[Strategy] = []
-    for s in enumerate_deterministic(d, oc.states, spec, cap=cap):
+    for s in deterministic_candidates(d, oc.states, spec):
         value = evaluate_g_recursion(oc, s, k).value
         values.append(value)
         if best_value is None or value > best_value:

@@ -23,7 +23,7 @@ from seqident import (
     parse_model_file,
     staged_diagram,
 )
-from seqident.errors import MaskedHistoryReachable, PositivityViolation, SeqidentError
+from seqident.errors import PositivityViolation, SeqidentError
 from seqident.fuzz import (
     random_model,
     random_parent_spec,
@@ -141,7 +141,7 @@ class TestGRecursion:
         s = from_observational(fig2b_model, fig2b)
         oc.masks[0][()] = True  # stage-1 mask over the empty history
         oc.tables[0][:] = np.array([0.5, 0.5])  # pretend L1 can be 1
-        with pytest.raises((MaskedHistoryReachable, PositivityViolation)):
+        with pytest.raises(PositivityViolation):
             evaluate_g_recursion(oc, s, unit_loss)
 
     def test_unreachable_branches_are_skipped(self, fig2b, fig2b_model, unit_loss):

@@ -8,6 +8,7 @@ import pytest
 from seqident import (
     DiscreteModel,
     IdentifiabilityVerdict,
+    Strategy,
     decide_identifiability,
     enumerate_deterministic,
     evaluate_g_recursion,
@@ -33,7 +34,7 @@ from seqident.fuzz import random_model, random_parent_spec, random_staged_diagra
 from seqident.evaluate import check_recursion_support
 from seqident.optimize import _candidate_values
 
-from .oracles import bruteforce_reference
+from .oracles import assert_same_strategy, bruteforce_reference
 
 
 def _one_step():
@@ -247,6 +248,8 @@ def _assert_matches_reference(oc, d, k, spec):
     assert repr(bf.value) == repr(ref.value)
     assert [s.name for s in bf.argmax] == [s.name for s in ref.argmax]
     assert all(strategies_equal(a, b) for a, b in zip(bf.argmax, ref.argmax, strict=True))
+    for a, b in zip(bf.argmax, ref.argmax):
+        assert_same_strategy(a, b)
     assert bf.strategy is bf.argmax[0]
 
 
@@ -420,7 +423,6 @@ class TestBatchedBruteForce:
     def test_one_walk_and_one_strategy_to_raise(self, fig2b, fig2b_model, monkeypatch):
         import seqident.evaluate
         import seqident.optimize
-        import seqident.strategy
 
         calls = Counter()
 
@@ -435,18 +437,17 @@ class TestBatchedBruteForce:
 
         counted(seqident.evaluate, "check_recursion_support")
         counted(seqident.optimize, "check_recursion_support")
-        counted(seqident.strategy, "_make")
+        _count_strategies(monkeypatch, calls)
         oc = observational_conditionals(_zero_column(fig2b_model, "A2", 1), fig2b)
         full = full_history_spec(fig2b)
         assert enumerate_deterministic(fig2b, oc.states, full).count == 1024
         with pytest.raises(PositivityViolation):
             optimize_bruteforce(oc, fig2b, loss_function([0.0, 1.0], "Y"), full)
-        assert calls == {"check_recursion_support": 1, "_make": 1}
+        assert calls == {"check_recursion_support": 1, "Strategy": 1}
 
     def test_no_per_candidate_recursion_or_strategy(self, fig2b, fig2b_model, monkeypatch):
         import seqident.evaluate
         import seqident.optimize
-        import seqident.strategy
 
         calls = Counter()
 
@@ -462,13 +463,24 @@ class TestBatchedBruteForce:
         counted(seqident.evaluate, "evaluate_g_recursion")
         counted(seqident.evaluate, "check_recursion_support")
         counted(seqident.optimize, "check_recursion_support")
-        counted(seqident.strategy, "_make")
+        _count_strategies(monkeypatch, calls)
         oc = observational_conditionals(fig2b_model, fig2b)
         full = full_history_spec(fig2b)
         bf = optimize_bruteforce(oc, fig2b, loss_function([0.0, 1.0], "Y"), full)
         assert enumerate_deterministic(fig2b, oc.states, full).count == 1024
         assert calls["evaluate_g_recursion"] == calls["check_recursion_support"] == 0
-        assert 1 <= calls["_make"] <= len(bf.argmax)
+        assert 1 <= calls["Strategy"] <= len(bf.argmax)
+
+
+def _count_strategies(monkeypatch, calls):
+    """Count every ``Strategy`` object built, whichever route builds it."""
+    init = Strategy.__init__
+
+    def counted(self, *args, **kwargs):
+        calls["Strategy"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Strategy, "__init__", counted)
 
 
 def _cap_cells(monkeypatch, cells):

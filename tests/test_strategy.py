@@ -25,6 +25,8 @@ from seqident.errors import (
 )
 from seqident.fuzz import random_model, random_staged_diagram
 
+from .oracles import assert_same_strategy, deterministic_candidates
+
 
 class TestConstructors:
     def test_unconditional_point_masses(self, fig2a, bite_model):
@@ -198,6 +200,38 @@ class TestEnumeration:
                 assert not any(strategies_equal(s, t) for t in seen)
                 seen.append(s)
             assert n == enum.count
+
+    def test_build_matches_independent_decoding(self):
+        # batches out of order and with repeats, on random diagrams, specs and state counts
+        rng = np.random.default_rng(41)
+        from seqident.fuzz import random_parent_spec
+
+        done = 0
+        while done < 20:
+            d = random_staged_diagram(rng, max_stages=3)
+            m = random_model(rng, d, state_choices=((2,), (3,), (2, 3))[done % 3])
+            spec = random_parent_spec(rng, d, p_keep=0.7)
+            try:
+                stream = enumerate_deterministic(d, m.states, spec, cap=2000)
+            except EnumerationTooLarge:
+                continue
+            want = list(deterministic_candidates(d, m.states, spec))
+            assert len(want) == stream.count
+            idx = rng.integers(stream.count, size=int(rng.integers(1, 12))).tolist()
+            for i, got in zip(idx, stream._build(idx), strict=True):
+                assert_same_strategy(got, want[i])
+            done += 1
+
+    def test_built_strategies_own_their_tables(self, fig2b, fig2b_model):
+        stream = enumerate_deterministic(fig2b, fig2b_model.states, full_history_spec(fig2b))
+        built = list(stream._build([5, 5, 6]))
+        # a view into the batch would keep every winner's rows alive with any one
+        assert all(t.flags.owndata for s in built for t in s.tables)
+        for s, t in itertools.combinations(built, 2):
+            assert not any(np.shares_memory(a, b) for a in s.tables for b in t.tables)
+        built[0].tables[1][...] = 0.0
+        for s, fresh in zip(built[1:], stream._build([5, 6])):
+            assert_same_strategy(s, fresh)
 
     def test_count_law_random(self):
         rng = np.random.default_rng(40)
