@@ -65,6 +65,7 @@ from .stability import (
     check_theorem1_numeric,
     decide_identifiability,
 )
+from .strategy import MAX_ENUMERATION
 
 
 class _UsageError(Exception):
@@ -441,8 +442,8 @@ def _cmd_report(args) -> int:
     return code
 
 
-def _at_least(kind: type, low: int):
-    """argparse type: a finite number of the given kind, no smaller than low."""
+def _at_least(kind: type, low: int, high: float = math.inf):
+    """argparse type: a finite number of the given kind, from low to high."""
 
     def parse(text: str):
         try:
@@ -451,8 +452,11 @@ def _at_least(kind: type, low: int):
             raise argparse.ArgumentTypeError(
                 f"invalid {kind.__name__} value: {text!r}"
             ) from None
-        if not math.isfinite(value) or value < low:
+        # compared, not math.isfinite: that overflows on an int beyond any float
+        if not low <= value < math.inf:
             raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {text!r}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {text!r}")
         return value
 
     return parse
@@ -510,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="optimal strategy search")
     p.add_argument("file")
     p.add_argument("--spec", default="full")
-    p.add_argument("--max-enum", type=_at_least(int, 1), default=10**6,
+    p.add_argument("--max-enum", type=_at_least(int, 1, MAX_ENUMERATION), default=10**6,
                    help="cap on strategy enumeration size")
     p.set_defaults(func=_cmd_optimize)
 

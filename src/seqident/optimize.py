@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,15 +40,53 @@ class OptimizationResult:
     ``choices``/``choice_values`` hold, per action, the selected state and
     its continuation value for every history; ``unreached`` flags histories
     no strategy can realise (they carry the tie-break action).  ``argmax``
-    is the full argmax set when the search enumerated it.
+    is the full argmax set, in enumeration order, when the search enumerated
+    it: brute force returns it as a sequence that builds its strategies on
+    first read, and ``strategy`` is its first element.
     """
 
     value: float
     strategy: Strategy
-    argmax: tuple[Strategy, ...] | None = None
+    argmax: Sequence[Strategy] | None = None
     choices: dict[str, np.ndarray] | None = None
     choice_values: dict[str, np.ndarray] | None = None
     unreached: dict[str, np.ndarray] | None = None
+
+
+class _ArgmaxSet(Sequence[Strategy]):
+    """The strategies at sorted enumeration indices, built when first read.
+
+    Its size needs no strategy, and element 0 is built on its own; any other
+    access builds the rest once, through one ``_build`` batch, and keeps
+    them.  Indexing, slicing and iteration behave as on the tuple of them.
+    """
+
+    def __init__(self, stream: StrategyEnumeration, idx: list[int]):
+        self._stream = stream
+        self._idx = idx
+        self._first: Strategy | None = None
+        self._all: tuple[Strategy, ...] | None = None
+
+    def __len__(self) -> int:
+        return len(self._idx)
+
+    def _built(self) -> tuple[Strategy, ...]:
+        if self._all is None:
+            self._all = (self[0],) + tuple(self._stream._build(self._idx[1:]))
+        return self._all
+
+    def __getitem__(self, i):
+        if self._all is None and not isinstance(i, slice) and i in (0, -len(self._idx)):
+            if self._first is None:
+                self._first = next(self._stream._build(self._idx[:1]))
+            return self._first
+        return self._built()[i]
+
+    def __iter__(self) -> Iterator[Strategy]:
+        return iter(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
 
 
 def _positivity_gap(oc: ObservationalConditionals) -> PositivityViolation | None:
@@ -135,10 +173,12 @@ def _suffix_values(
     """Carry continuation values from action j's stage down to the empty history.
 
     ``f[r]`` is the value table before action j is reduced, for the r-th
-    choice-table suffix (actions j+1..n) whose index is ``pos[r]``.  Gathering
-    with every choice table of action j prepends its axis, so the new suffix
-    index is ``choice * S + pos``, S being the number of old suffixes.  Blocks
-    keep each table under ``_CHUNK_CELLS`` and go down on their own; yields
+    choice-table suffix (actions j+1..n) whose index is ``pos[r]``.  Viewed as
+    (suffix, history × action), f gives every value a choice table picks by
+    one flat gather per block: each history's row offset plus its chosen
+    state.  Row (r, choice) of the result has the suffix index
+    ``choice * S + pos[r]``, S being the number of old suffixes.  Blocks keep
+    each table under ``_CHUNK_CELLS`` and go down on their own; yields
     ``(strategy indices, values)`` once j reaches 0.
     """
     if j == 0:
@@ -147,12 +187,16 @@ def _suffix_values(
     size, span = stream._radices[j - 1], math.prod(stream._radices[j:])
     table, nb = oc.tables[j - 1], len(oc.block_vars[j - 1])
     orders = stream._parent_orders[j - 1]
+    n = f.shape[-1]
+    rows = np.arange(0, table.size * n, n).reshape(table.shape + (1,))  # each history's row offset
+    flat = f.reshape(len(f), -1)
     for cs, ss in _blocks(size, len(pos), max(1, _CHUNK_CELLS // table.size)):
         c = np.arange(cs.start, cs.stop)
-        chosen = _expand_kernel(oc, j, stream._tables(j - 1, c)[..., None], orders)
-        g = np.take_along_axis(f[None, ss], chosen[:, None], axis=-1)[..., 0]
-        g = _sum_block(table, g.reshape((-1,) + g.shape[2:]), nb)
-        yield from _suffix_values(oc, stream, j - 1, g, (c[:, None] * span + pos[None, ss]).ravel())
+        chosen = _expand_kernel(oc, j, stream._tables(j - 1, c)[..., None], orders) + rows
+        g = np.take(flat[ss], chosen.reshape(len(c), -1), axis=1)  # contiguous, unlike indexing
+        del chosen  # as large as the block: freed before the block goes down
+        g = _sum_block(table, g.reshape((-1,) + table.shape), nb)
+        yield from _suffix_values(oc, stream, j - 1, g, (pos[ss, None] + c * span).ravel())
 
 
 def _first_failing(
@@ -249,5 +293,5 @@ def optimize_bruteforce(
         elif top == best:
             winners.append(idx[values == top])
     assert best is not None and winners
-    argmax = tuple(stream._build(np.sort(np.concatenate(winners)).tolist()))
+    argmax = _ArgmaxSet(stream, np.sort(np.concatenate(winners)).tolist())
     return OptimizationResult(value=best, strategy=argmax[0], argmax=argmax)

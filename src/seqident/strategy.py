@@ -200,6 +200,7 @@ def strategies_equal(a: Strategy, b: Strategy) -> bool:
     )
 
 
+MAX_ENUMERATION = 2**63 - 1  # the largest strategy count whose indices fit in int64
 _ITER_CHUNK = 256  # strategies decoded at a time by ``StrategyEnumeration.__iter__``
 
 
@@ -224,22 +225,29 @@ class StrategyEnumeration:
             for a, parents in zip(self._d.actions, self._parent_orders)
         )
 
+    @cached_property
+    def _places(self) -> tuple[np.ndarray, ...]:
+        """Per action, the place value of each history row in a choice-table
+        index: the action's state count to the power of the rows after it."""
+        out = []
+        for a, parents in zip(self._d.actions, self._parent_orders):
+            rows = math.prod(self._states[p] for p in parents)
+            out.append(self._states[a] ** np.arange(rows - 1, -1, -1, dtype=np.int64))
+        return tuple(out)
+
     def _tables(self, j: int, idx: Sequence[int]) -> np.ndarray:
         """Decode choice-table indices of the j-th action (from 0) into chosen states.
 
         Returns an integer array of shape ``(len(idx), *parent shape)``.
         Mixed-radix decode with the first history row as the most
-        significant digit, so tables come in lexicographic order.
+        significant digit, so tables come in lexicographic order: one
+        broadcast ``//`` and ``%`` against the rows' place values.
         """
-        a, parents = self._d.actions[j], self._parent_orders[j]
-        n = self._states[a]
-        pshape = tuple(self._states[p] for p in parents)
-        rem = np.array(idx, dtype=np.int64)
-        digits = np.empty((rem.size, math.prod(pshape)), dtype=np.int64)
-        for row in range(digits.shape[1] - 1, -1, -1):
-            digits[:, row] = rem % n
-            rem //= n
-        return digits.reshape((rem.size,) + pshape)
+        parents = self._parent_orders[j]
+        n = self._states[self._d.actions[j]]
+        idx = np.asarray(idx, dtype=np.int64)
+        digits = idx[:, None] // self._places[j] % n
+        return digits.reshape((idx.size,) + tuple(self._states[p] for p in parents))
 
     def _choices(self, idx: Sequence[int]) -> tuple[np.ndarray, ...]:
         """Decode strategy indices into chosen action states, one ``_tables``
@@ -282,11 +290,16 @@ def enumerate_deterministic(
     spec: StrategyParentSpec,
     cap: int = 10**6,
 ) -> StrategyEnumeration:
-    """All deterministic strategies, duplicate-free, in lexicographic table order."""
+    """All deterministic strategies, duplicate-free, in lexicographic table order.
+
+    Strategy indices are int64, so a count above ``MAX_ENUMERATION`` is too
+    large whatever ``cap`` is; the error then names that limit as the cap.
+    """
     count = 1
     for a in d.actions:
         n_cfg = math.prod(states[p] for p in spec.of(a))
         count *= states[a] ** n_cfg
+    cap = min(cap, MAX_ENUMERATION)
     if count > cap:
         raise EnumerationTooLarge(count, cap)
     return StrategyEnumeration(count=count, _d=d, _states=states, _spec=spec)

@@ -11,7 +11,9 @@ edge-deleted check graphs as ``seqident.diagram`` built them from label
 edge lists through ``build_dag``, before it derived them from parent ids.
 Beside the one-candidate-at-a-time brute force, its candidates are decoded
 on their own and built through ``make_deterministic``, apart from
-``StrategyEnumeration``.  Then come the per-configuration loops that
+``StrategyEnumeration``, and choice-table indices are decoded one history
+row at a time, as that class did before it decoded all rows at once.
+Then come the per-configuration loops that
 ``ci_deviation`` and ``check_positivity`` ran before they worked on whole
 arrays, and the array code must match them bit for bit.  Then come the decomposition and the
 splice check as they ran on dense joints, before those queries summed
@@ -25,6 +27,7 @@ with the regime indicator that ``dsep --numeric`` sums down.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from typing import Iterable, Mapping
 
@@ -370,6 +373,18 @@ def deterministic_candidates(d, states, spec):
     for i, rows in enumerate(itertools.product(*tables)):
         choices = {a: dict(zip(cfgs, row)) for a, cfgs, row in zip(d.actions, configs, rows)}
         yield make_deterministic(d, states, spec, choices, name=f"s{i}")
+
+
+def choice_tables_reference(n: int, pshape: tuple[int, ...], idx) -> np.ndarray:
+    """Decode choice-table indices one history row at a time, as
+    ``StrategyEnumeration._tables`` did before it divided by every row's
+    place value at once: the last row is the least significant digit."""
+    rem = np.array(idx, dtype=np.int64)
+    digits = np.empty((rem.size, math.prod(pshape)), dtype=np.int64)
+    for row in range(digits.shape[1] - 1, -1, -1):
+        digits[:, row] = rem % n
+        rem //= n
+    return digits.reshape((rem.size,) + tuple(pshape))
 
 
 def assert_same_strategy(got: Strategy, want: Strategy) -> None:

@@ -517,6 +517,8 @@ class TestUsage:
             (("optimize", "fig2b.sid", "--spec", "none", "--max-enum", "-1"), "--max-enum"),
             (("optimize", "fig2b.sid", "--spec", "none", "--max-enum", "0"), "--max-enum"),
             (("optimize", "fig2b.sid", "--max-enum", "1.5"), "--max-enum"),
+            (("optimize", "fig2b.sid", "--spec", "none", "--max-enum", "1" + "0" * 400),
+             "--max-enum"),
         ],
     )
     def test_bad_numeric_flag_exit_two(self, capsys, models_dir, argv, flag):
@@ -533,12 +535,23 @@ class TestUsage:
             (("dsep", "fig2b.sid", "L2", "/", "Y", "/", "A1", "A2", "--numeric", "--tol", "0"),
              "numeric: dependence above --tol (gap 1.110e-16 > tol 0.0e+00)"),
             (("optimize", "dominance.sid", "--spec", "none", "--max-enum", "16"), "value 0.645"),
+            (("optimize", "dominance.sid", "--spec", "none", "--max-enum", str(2**63 - 1)),
+             "value 0.645"),
         ],
     )
     def test_numeric_flag_bounds_accepted(self, capsys, models_dir, argv, line):
         argv = [str(models_dir / a) if a.endswith(".sid") else a for a in argv]
         _, out, err = run(capsys, *argv)
         assert err == "" and out.splitlines()[0] == line
+
+    def test_max_enum_beyond_int64_message(self, capsys, models_dir):
+        code, out, err = run(capsys, "optimize", str(models_dir / "fig2b.sid"), "--spec", "none",
+                             "--max-enum", str(2**63))
+        assert code == 2 and out == ""
+        assert err.endswith(
+            "error: argument --max-enum: must be at most 9223372036854775807, "
+            "got '9223372036854775808'\n"
+        )
 
     @pytest.mark.parametrize("flag", ["--tol", "--dep-tol", "--max-enum"])
     @pytest.mark.parametrize("command", sorted(_BASE_ARGV))

@@ -55,18 +55,8 @@ class TestBackward:
         assert int(r.choices["A1"][()]) == 1
 
     def test_constant_loss_tie_break(self, fig2b):
-        # dyadic probabilities keep every sum exact, so the constant loss
-        # produces genuine ties and the tie-break must pick action 0
-        m = DiscreteModel(
-            states={"L1": 2, "A1": 2, "L2": 2, "A2": 2, "Y": 2},
-            cpts={
-                "L1": np.array([0.5, 0.5]),
-                "A1": np.array([[0.75, 0.25], [0.25, 0.75]]),
-                "L2": np.array([[[0.5, 0.5], [0.25, 0.75]], [[0.75, 0.25], [0.5, 0.5]]]),
-                "A2": np.array([[0.5, 0.5], [0.25, 0.75]]),
-                "Y": np.array([[[0.75, 0.25], [0.5, 0.5]], [[0.25, 0.75], [0.5, 0.5]]]),
-            },
-        )
+        # the constant loss produces genuine ties and the tie-break must pick action 0
+        m = _dyadic_fig2b()
         oc = observational_conditionals(m, fig2b)
         k = loss_function([1.5, 1.5], "Y")
         r = optimize_backward(oc, fig2b, k, full_history_spec(fig2b))
@@ -246,6 +236,7 @@ def _assert_matches_reference(oc, d, k, spec):
     assert batched.tobytes() == np.array(values).tobytes()  # no tolerance
     bf = optimize_bruteforce(oc, d, k, spec)
     assert repr(bf.value) == repr(ref.value)
+    assert len(bf.argmax) == len(ref.argmax) and bf.strategy is bf.argmax[0]
     assert [s.name for s in bf.argmax] == [s.name for s in ref.argmax]
     assert all(strategies_equal(a, b) for a, b in zip(bf.argmax, ref.argmax, strict=True))
     for a, b in zip(bf.argmax, ref.argmax):
@@ -469,7 +460,82 @@ class TestBatchedBruteForce:
         bf = optimize_bruteforce(oc, fig2b, loss_function([0.0, 1.0], "Y"), full)
         assert enumerate_deterministic(fig2b, oc.states, full).count == 1024
         assert calls["evaluate_g_recursion"] == calls["check_recursion_support"] == 0
-        assert 1 <= calls["Strategy"] <= len(bf.argmax)
+        assert calls["Strategy"] == 1 < len(bf.argmax)
+
+
+def _dyadic_fig2b():
+    """A model of fig2b with dyadic probabilities: under a constant loss every
+    sum is exact, so every strategy ties."""
+    return DiscreteModel(
+        states={"L1": 2, "A1": 2, "L2": 2, "A2": 2, "Y": 2},
+        cpts={
+            "L1": np.array([0.5, 0.5]),
+            "A1": np.array([[0.75, 0.25], [0.25, 0.75]]),
+            "L2": np.array([[[0.5, 0.5], [0.25, 0.75]], [[0.75, 0.25], [0.5, 0.5]]]),
+            "A2": np.array([[0.5, 0.5], [0.25, 0.75]]),
+            "Y": np.array([[[0.75, 0.25], [0.5, 0.5]], [[0.25, 0.75], [0.5, 0.5]]]),
+        },
+    )
+
+
+class TestLazyArgmax:
+    """The argmax set builds its strategies only when they are read."""
+
+    @pytest.fixture
+    def search(self, fig2b, monkeypatch):
+        # all 8 strategies under A2:L2 tie, so the set is larger than its first element
+        calls = Counter()
+        _count_strategies(monkeypatch, calls)
+        oc = observational_conditionals(_dyadic_fig2b(), fig2b)
+        spec = _spec(fig2b, "A2:L2")
+        bf = optimize_bruteforce(oc, fig2b, loss_function([1.5, 1.5], "Y"), spec)
+        stream = enumerate_deterministic(fig2b, oc.states, spec)
+        return bf, stream, calls
+
+    def test_size_and_strategy_build_one(self, search):
+        bf, stream, calls = search
+        assert len(bf.argmax) == stream.count == 8
+        assert bf.strategy.name == "s0" and bf.strategy is bf.argmax[0]
+        assert bf.argmax[-len(bf.argmax)] is bf.strategy
+        assert calls["Strategy"] == 1
+
+    def test_iterating_twice_builds_the_rest_once(self, search):
+        bf, _, calls = search
+        first = list(bf.argmax)
+        second = list(bf.argmax)
+        assert calls["Strategy"] == len(bf.argmax) == 8
+        assert all(a is b for a, b in zip(first, second, strict=True))
+        assert first[0] is bf.strategy is bf.argmax[0]
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda s: tuple(s),
+            lambda s: [s[i] for i in range(len(s))],
+            lambda s: s[-1],
+            lambda s: s[-5],
+            lambda s: s[1:4],
+            lambda s: s[::-3],
+            lambda s: s[7:2],
+            lambda s: s[:],
+            lambda s: list(reversed(s)),
+        ],
+    )
+    def test_reads_like_the_eager_tuple(self, search, read):
+        bf, stream, calls = search
+        eager = tuple(stream._build(list(range(stream.count))))
+        before = calls["Strategy"]
+        got, want = read(bf.argmax), read(eager)
+        assert calls["Strategy"] - before == len(eager) - 1  # all but the first, once
+        assert type(got) is type(want)
+        if isinstance(want, Strategy):
+            got, want = [got], [want]
+        for a, b in zip(got, want, strict=True):
+            assert_same_strategy(a, b)
+        assert bf.strategy is bf.argmax[0]
+        for i in (len(eager), -len(eager) - 1):
+            with pytest.raises(IndexError):
+                bf.argmax[i]
 
 
 def _count_strategies(monkeypatch, calls):

@@ -23,9 +23,11 @@ from seqident.errors import (
     MissingConfiguration,
     StateOutOfRange,
 )
-from seqident.fuzz import random_model, random_staged_diagram
+from seqident.diagram import kernel_parent_order
+from seqident.fuzz import random_model, random_parent_spec, random_staged_diagram
+from seqident.strategy import MAX_ENUMERATION
 
-from .oracles import assert_same_strategy, deterministic_candidates
+from .oracles import assert_same_strategy, choice_tables_reference, deterministic_candidates
 
 
 class TestConstructors:
@@ -180,6 +182,15 @@ class TestEnumeration:
         assert exc.value.count == 2 ** 2**14
         assert str(exc.value) == "over 10**4932 strategies exceed the enumeration cap of 1000000"
 
+    @pytest.mark.parametrize("parents, count", [((2, 32), 2**64), ((7, 9), 2**63)])
+    def test_count_beyond_int64_rejected_whatever_the_cap(self, parents, count):
+        # A1 has 64 or 63 parent rows, so 2**64 or 2**63 strategies: past the last int64 index
+        d, states = _one_action(parents, 2)
+        with pytest.raises(EnumerationTooLarge) as exc:
+            enumerate_deterministic(d, states, full_history_spec(d), cap=2**70)
+        assert exc.value.count == count and exc.value.cap == MAX_ENUMERATION == 2**63 - 1
+        assert str(exc.value) == f"{count} strategies exceed the enumeration cap of {2**63 - 1}"
+
     def test_stream_is_duplicate_free_and_valid(self):
         rng = np.random.default_rng(13)
         from seqident.fuzz import random_parent_spec
@@ -233,6 +244,42 @@ class TestEnumeration:
         for s, fresh in zip(built[1:], stream._build([5, 6])):
             assert_same_strategy(s, fresh)
 
+    def test_tables_match_row_by_row_reference(self):
+        # random diagrams, parent sets and state counts; per action the first,
+        # second and last choice table and random ones
+        rng = np.random.default_rng(43)
+        done = 0
+        while done < 40:
+            d = random_staged_diagram(rng, max_stages=3)
+            states = {v.label: int(rng.integers(2, 5)) for v in d.vars}
+            spec = random_parent_spec(rng, d, p_keep=float(rng.uniform(0.2, 1.0)))
+            try:
+                stream = enumerate_deterministic(d, states, spec, cap=MAX_ENUMERATION)
+            except EnumerationTooLarge:
+                continue
+            for j, a in enumerate(d.actions):
+                radix = stream._radices[j]
+                idx = [0, 1, radix - 1] + rng.integers(radix, size=8).tolist()
+                pshape = tuple(states[p] for p in kernel_parent_order(d, spec, a))
+                got = stream._tables(j, idx)
+                want = choice_tables_reference(states[a], pshape, idx)
+                assert got.dtype == want.dtype == np.int64
+                assert got.shape == want.shape == (len(idx),) + pshape
+                assert np.array_equal(got, want)
+            done += 1
+
+    @pytest.mark.parametrize("parents, n, radix", [((2, 31), 2, 2**62), ((3, 13), 3, 3**39)])
+    def test_tables_near_the_int64_limit(self, parents, n, radix):
+        d, states = _one_action(parents, n)
+        stream = enumerate_deterministic(d, states, full_history_spec(d), cap=2**70)
+        assert stream._radices == (radix,) and stream.count == radix > 2**61
+        rng = np.random.default_rng(44)
+        idx = [0, 1, radix - 1, radix - 2, radix // 2] + rng.integers(radix, size=20).tolist()
+        got = stream._tables(0, idx)
+        assert np.array_equal(got, choice_tables_reference(n, parents, idx))
+        assert (got[0] == 0).all() and (got[2] == n - 1).all()
+        assert got[1].ravel()[-1] == 1 and (got[1].ravel()[:-1] == 0).all()
+
     def test_count_law_random(self):
         rng = np.random.default_rng(40)
         from seqident.fuzz import random_parent_spec
@@ -262,3 +309,16 @@ class TestEnumeration:
             fixed = make_unconditional(fig2a, bite_model.states, [a1, a2])
             assert got == evaluate_oracle(bite_model, fig2a, fixed, unit_loss).value
         assert len(values) == 4
+
+
+def _one_action(parents: tuple[int, ...], n: int):
+    """One stage whose action A1 has n states and one covariate parent per
+    given state count."""
+    variables = [(f"L{j}", "covariate", 1) for j in range(len(parents))]
+    d = staged_diagram(
+        1,
+        variables + [("A1", "action", 1), ("Y", "outcome", 2)],
+        [(v, "A1") for v, *_ in variables] + [("A1", "Y")],
+    )
+    states = {f"L{j}": k for j, k in enumerate(parents)} | {"A1": n, "Y": 2}
+    return d, states
