@@ -160,13 +160,28 @@ def _analyse(d: StagedDiagram, spec: StrategyParentSpec):
     return reports, decision
 
 
-def _require(pf: ParsedModelFile, who: str, *sections: str) -> None:
+def _has_sections(pf: ParsedModelFile, who: str, *sections: str) -> None:
     """Usage error unless the file has every named section."""
     present = {"cpt": pf.model, "loss": pf.loss, "strategy": pf.strategies}
     if any(present[name] is None for name in sections):
         if len(sections) == 1:
             raise _UsageError(f"{who} needs a {sections[0]} section")
         raise _UsageError(f"{who} needs {' and '.join(sections)} sections")
+
+
+def _model_issues(pf: ParsedModelFile) -> list[str]:
+    """``validate_model``'s findings on the file's model, one line each."""
+    return [f"{i.code} [{i.var}]: {i.message}" for i in validate_model(pf.model, pf.diagram)]
+
+
+def _require(pf: ParsedModelFile, who: str, *sections: str) -> None:
+    """Usage error unless the file has every named section and, when the cpt
+    section is among them, its model passes ``validate_model``."""
+    _has_sections(pf, who, *sections)
+    if "cpt" in sections:
+        issues = _model_issues(pf)
+        if issues:
+            raise _UsageError("\n".join(issues))
 
 
 def _inputs(args, *sections: str) -> ParsedModelFile | None:
@@ -190,8 +205,8 @@ def _cmd_validate(args) -> int:
         print(f"{v.code}: {v.message}")
         code = 1
     if pf.model is not None:
-        for issue in validate_model(pf.model, pf.diagram):
-            print(f"{issue.code} [{issue.var}]: {issue.message}")
+        for issue in _model_issues(pf):
+            print(issue)
             code = 1
     if code == 0:
         print("ok")
@@ -377,7 +392,7 @@ def _cmd_report(args) -> int:
     if not violations:
         spec = _resolve_spec(args.spec, d)
         if args.strategy is not None:
-            _require(pf, "report --strategy", "cpt", "loss")
+            _has_sections(pf, "report --strategy", "cpt", "loss")
         reports, decision = _analyse(d, spec)
         doc["reports"] = [_report_dict(r) for r in reports]
         doc["verdict"] = decision.verdict.value
@@ -387,15 +402,19 @@ def _cmd_report(args) -> int:
         doc["strategy_table"] = None
         if pf.model is not None and pf.loss is not None:
             s = None if args.strategy is None else pf.strategy(args.strategy)
-            # a numeric step that fails leaves its error in the field it would
-            # have filled; the reports and verdict above stand
+            # a numeric step that fails, or a model that validate flags,
+            # leaves its first error in the fields it would have filled; the
+            # reports and verdict above stand
+            errors = _model_issues(pf)
             try:
-                oc = observational_conditionals(pf.model, d)
+                oc = None if errors else observational_conditionals(pf.model, d)
             except SeqidentError as exc:
+                errors = [str(exc)]
+            if errors:
                 code = 1
-                doc["strategy_table"] = {"error": str(exc)}
+                doc["strategy_table"] = {"error": errors[0]}
                 if s is not None:
-                    doc["value"] = {"error": str(exc)}
+                    doc["value"] = {"error": errors[0]}
             else:
                 if s is not None:
                     try:

@@ -5,11 +5,15 @@ hidden block, covariate block, action within each stage, then the outcome;
 all edges must point forward in that order, which makes acyclicity hold by
 construction.  Regime augmentation adds the decision node ``sigma`` with an
 arrow into every action.
+Positions in that order are the node ids of every graph built from the
+diagram's parent ids.  It sorts by stage, so the labels of one kind at a
+range of stages are a slice of a per-kind index.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -20,7 +24,7 @@ from .errors import (
     StageOutOfRange,
     UnknownLabel,
 )
-from .graph import Dag, build_dag
+from .graph import Dag, _check_size
 
 REGIME = "sigma"
 
@@ -80,7 +84,8 @@ class StagedDiagram:
 
     @cached_property
     def dag(self) -> Dag:
-        return build_dag(self.labels, self.edges)
+        _check_size(self.labels)
+        return Dag(self.labels, self.parent_ids)
 
     @cached_property
     def regime_dag(self) -> Dag:
@@ -90,52 +95,65 @@ class StagedDiagram:
             ps + (r,) if v.kind is VarKind.ACTION else ps
             for v, ps in zip(self.vars, self.parent_ids)
         )
-        return Dag.from_parents(self.labels + (REGIME,), parents + ((),))
+        return Dag(self.labels + (REGIME,), parents + ((),))
+
+    @cached_property
+    def parent_ids(self) -> tuple[tuple[int, ...], ...]:
+        """Each variable's parents as ascending positions."""
+        pos = self.position
+        out: list[list[int]] = [[] for _ in self.vars]
+        for a, b in self.edges:
+            out[pos[b]].append(pos[a])
+        return tuple(tuple(sorted(ps)) for ps in out)
 
     @cached_property
     def parents(self) -> dict[str, tuple[str, ...]]:
         # parent lists in canonical order
-        out: dict[str, list[str]] = {v.label: [] for v in self.vars}
-        for a, b in self.edges:
-            out[b].append(a)
-        pos = self.position
-        return {lab: tuple(sorted(ps, key=pos.__getitem__)) for lab, ps in out.items()}
+        labels = self.labels
+        return {
+            lab: tuple(labels[p] for p in ps) for lab, ps in zip(labels, self.parent_ids)
+        }
 
     @cached_property
-    def parent_ids(self) -> tuple[tuple[int, ...], ...]:
-        """Parents as ascending positions; positions are the node ids of
-        ``dag`` and of every graph derived from the diagram."""
-        pos = self.position
-        return tuple(tuple(pos[p] for p in self.parents[lab]) for lab in self.labels)
+    def _stage_index(self) -> dict[VarKind, tuple[tuple[str, ...], tuple[int, ...]]]:
+        """Per kind, its labels in canonical order and their ascending stages."""
+        out = {}
+        for kind in VarKind:
+            vs = [v for v in self.vars if v.kind is kind]
+            out[kind] = (tuple(v.label for v in vs), tuple(v.stage for v in vs))
+        return out
+
+    def stage_span(self, kind: VarKind, first: int | None, stop: int) -> tuple[str, ...]:
+        """Labels of one kind at stages first..stop-1 in canonical order; with
+        first None, at every stage before stop."""
+        labels, stages = self._stage_index[kind]
+        lo = 0 if first is None else bisect_left(stages, first)
+        return labels[lo : bisect_left(stages, stop)]
 
     @cached_property
     def actions(self) -> tuple[str, ...]:
-        return tuple(v.label for v in self.vars if v.kind is VarKind.ACTION)
+        return self._stage_index[VarKind.ACTION][0]
 
     def action_label(self, i: int) -> str:
         if not 1 <= i <= self.n_stages:
             raise StageOutOfRange(f"stage {i} not in 1..{self.n_stages}")
-        for v in self.vars:
-            if v.kind is VarKind.ACTION and v.stage == i:
-                return v.label
-        raise UnknownLabel(f"no action at stage {i}")
+        acts = self.stage_span(VarKind.ACTION, i, i + 1)
+        if not acts:
+            raise UnknownLabel(f"no action at stage {i}")
+        return acts[0]
 
     @cached_property
     def outcome_label(self) -> str:
-        for v in self.vars:
-            if v.kind is VarKind.OUTCOME:
-                return v.label
-        raise UnknownLabel("no outcome variable")
+        outcomes = self._stage_index[VarKind.OUTCOME][0]
+        if not outcomes:
+            raise UnknownLabel("no outcome variable")
+        return outcomes[0]
 
     def covariate_labels(self, i: int) -> tuple[str, ...]:
-        return tuple(
-            v.label for v in self.vars if v.kind is VarKind.COVARIATE and v.stage == i
-        )
+        return self.stage_span(VarKind.COVARIATE, i, i + 1)
 
     def hidden_labels(self, i: int) -> tuple[str, ...]:
-        return tuple(
-            v.label for v in self.vars if v.kind is VarKind.HIDDEN and v.stage == i
-        )
+        return self.stage_span(VarKind.HIDDEN, i, i + 1)
 
     def covariate_block(self, i: int) -> tuple[str, ...]:
         """Covariate block at stage i; the block at stage N+1 is the outcome."""
@@ -145,7 +163,7 @@ class StagedDiagram:
 
     @cached_property
     def hiddens(self) -> tuple[str, ...]:
-        return tuple(v.label for v in self.vars if v.kind is VarKind.HIDDEN)
+        return self._stage_index[VarKind.HIDDEN][0]
 
     @cached_property
     def observed_labels(self) -> tuple[str, ...]:
@@ -160,19 +178,13 @@ class StagedDiagram:
         return frozenset(p for a, p in self.inert if a == action)
 
     def actions_before(self, i: int) -> tuple[str, ...]:
-        return tuple(
-            v.label for v in self.vars if v.kind is VarKind.ACTION and v.stage < i
-        )
+        return self.stage_span(VarKind.ACTION, None, i)
 
     def covariates_before(self, i: int) -> tuple[str, ...]:
-        return tuple(
-            v.label for v in self.vars if v.kind is VarKind.COVARIATE and v.stage < i
-        )
+        return self.stage_span(VarKind.COVARIATE, None, i)
 
     def covariates_through(self, i: int) -> tuple[str, ...]:
-        return tuple(
-            v.label for v in self.vars if v.kind is VarKind.COVARIATE and v.stage <= i
-        )
+        return self.stage_span(VarKind.COVARIATE, None, i + 1)
 
 
 def staged_diagram(
@@ -240,10 +252,10 @@ def validate_diagram(d: StagedDiagram) -> tuple[Violation, ...]:
                 )
             )
     for i in range(1, n + 1):
-        acts = [v for v in d.vars if v.kind is VarKind.ACTION and v.stage == i]
-        if len(acts) != 1:
+        acts = len(d.stage_span(VarKind.ACTION, i, i + 1))
+        if acts != 1:
             found.append(
-                Violation("BadStageOrder", f"stage {i} must hold exactly one action, found {len(acts)}")
+                Violation("BadStageOrder", f"stage {i} must hold exactly one action, found {acts}")
             )
     for v in d.vars:
         if v.kind is VarKind.ACTION and not 1 <= v.stage <= n:
@@ -347,23 +359,22 @@ def normalize_parents(d: StagedDiagram, spec: StrategyParentSpec) -> StagedDiagr
 
     Added parents are recorded as inert: they join the action's conditioning
     set without being allowed any influence on its observational kernel.
+    The variables are kept as they are, and the added edges join the edge
+    list in position order.
     """
     extra_edges: list[tuple[str, str]] = []
     extra_inert: set[tuple[str, str]] = set(d.inert)
     for action in d.actions:
-        have = set(d.pa_o(action))
-        for p in kernel_parent_order(d, spec, action):
+        have = d.pa_o(action)
+        for p in spec.of(action):
             if p not in have:
                 extra_edges.append((p, action))
                 extra_inert.add((action, p))
     if not extra_edges:
         return d
-    return staged_diagram(
-        d.n_stages,
-        [(v.label, v.kind, v.stage) for v in d.vars],
-        list(d.edges) + extra_edges,
-        inert=extra_inert,
-    )
+    pos = d.position
+    edges = sorted(d.edges + tuple(extra_edges), key=lambda e: (pos[e[0]], pos[e[1]]))
+    return StagedDiagram(d.n_stages, d.vars, tuple(edges), frozenset(extra_inert))
 
 
 def build_check_graph(d: StagedDiagram, spec: StrategyParentSpec, i: int) -> Dag:
@@ -387,8 +398,8 @@ def build_check_graph(d: StagedDiagram, spec: StrategyParentSpec, i: int) -> Dag
         else:
             parents[k] = tuple(sorted(strategy.union(parents[k]))) + (len(d.vars),)
     if i == 0:
-        return Dag.from_parents(d.labels, tuple(parents))
-    return Dag.from_parents(d.labels + (REGIME,), (*parents, ()))
+        return Dag(d.labels, tuple(parents))
+    return Dag(d.labels + (REGIME,), (*parents, ()))
 
 
 def build_pearl_robins_graph(
@@ -411,4 +422,4 @@ def build_pearl_robins_graph(
         parents.append(
             tuple(p for p in ps if p != a_i and (keep is None or labels[p] in keep))
         )
-    return Dag.from_parents(labels, tuple(parents))
+    return Dag(labels, tuple(parents))

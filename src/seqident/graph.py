@@ -10,11 +10,9 @@ neighbours of each node it reaches (parents, children inside the closure,
 and those children's other parents) and stops at the first node of the
 first set.  When such a path exists it is returned as a witness.
 
-Graphs derived from an already validated one, such as the check graphs of
-``seqident.diagram``, are made by ``Dag.from_parents`` without re-checking
-labels.  Their acyclicity is certified edge by edge; only an edge that
-neither points to a higher id nor leaves a parentless node sends the graph
-through the depth-first cycle search.
+A graph is its labels and each node's parent ids, from which edges,
+children and masks are derived.  ``build_dag`` checks label edge lists; the
+graphs of ``seqident.diagram`` are built from its parent ids directly.
 """
 
 from __future__ import annotations
@@ -41,28 +39,39 @@ MAX_NODES = 24
 
 @dataclass(frozen=True)
 class Dag:
-    """Immutable DAG over labelled nodes; node ids are dense 0..n-1."""
+    """Immutable DAG over labelled nodes; node ids are dense 0..n-1, and each
+    node's parents are ids in ascending order.  There is room for the regime
+    node beside a diagram's ``MAX_NODES`` variables.  An edge to a higher id,
+    or out of a parentless node, cannot close a cycle; if any edge is
+    neither, the depth-first order runs and raises CycleDetected."""
 
     labels: tuple[str, ...]
-    edges: frozenset[tuple[int, int]]
+    parents: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        _check_size(self.labels, MAX_NODES + 1)
+        parents = self.parents
+        for v, ps in enumerate(parents):
+            # ascending parents: any edge against the id order comes last
+            if ps and ps[-1] >= v and any(parents[p] for p in ps if p >= v):
+                self.topological_order  # raises CycleDetected
+                break
 
     @cached_property
     def index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
     @cached_property
-    def parents(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in self.labels]
-        for a, b in self.edges:
-            out[b].append(a)
-        return tuple(tuple(sorted(ps)) for ps in out)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((p, v) for v, ps in enumerate(self.parents) for p in ps)
 
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
         out: list[list[int]] = [[] for _ in self.labels]
-        for a, b in self.edges:
-            out[a].append(b)
-        return tuple(tuple(sorted(cs)) for cs in out)
+        for v, ps in enumerate(self.parents):
+            for p in ps:
+                out[p].append(v)
+        return tuple(map(tuple, out))
 
     @cached_property
     def parent_masks(self) -> tuple[int, ...]:
@@ -82,29 +91,6 @@ class Dag:
             for p in ps:
                 out[p] |= bit
         return tuple(out)
-
-    @classmethod
-    def from_parents(
-        cls, labels: tuple[str, ...], parents: tuple[tuple[int, ...], ...]
-    ) -> Dag:
-        """A Dag from each node's parent ids in ascending order.
-
-        The parents are derived from an already validated graph, so labels
-        and endpoints are not checked again; the graph may carry the regime
-        node beyond a diagram's ``MAX_NODES`` variables.  An edge to a higher
-        id, or out of a parentless node, cannot close a cycle; if any edge is
-        neither, the depth-first order runs and raises CycleDetected as
-        build_dag would.
-        """
-        _check_size(labels, MAX_NODES + 1)
-        g = cls(labels, frozenset((p, v) for v, ps in enumerate(parents) for p in ps))
-        g.__dict__["parents"] = parents
-        for v, ps in enumerate(parents):
-            # ascending parents: any edge against the id order comes last
-            if ps and ps[-1] >= v and any(parents[p] for p in ps if p >= v):
-                g.topological_order  # raises CycleDetected
-                break
-        return g
 
     @cached_property
     def topological_order(self) -> tuple[int, ...]:
@@ -138,15 +124,11 @@ class Dag:
                     post.append(n)
         return tuple(reversed(post))
 
-    def node_ids(self, labels: Iterable[str]) -> frozenset[int]:
-        try:
-            return frozenset(self.index[lab] for lab in labels)
-        except KeyError as exc:
-            raise UnknownNode(f"unknown node {exc.args[0]!r}") from None
-
     def parent_labels(self, label: str) -> tuple[str, ...]:
-        ids = self.node_ids([label])
-        (i,) = ids
+        try:
+            i = self.index[label]
+        except KeyError:
+            raise UnknownNode(f"unknown node {label!r}") from None
         return tuple(self.labels[p] for p in self.parents[i])
 
     def edge_labels(self) -> tuple[tuple[str, str], ...]:
@@ -172,27 +154,24 @@ def _mask(g: Dag, labels: Iterable[str]) -> int:
 
 
 def build_dag(labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> Dag:
-    """Validate labels and edges and return a Dag with a cached topological order."""
+    """Validate labels and edges and return their Dag."""
     labels = tuple(labels)
     if len(set(labels)) != len(labels):
         dupes = sorted({lab for lab in labels if labels.count(lab) > 1})
         raise UnknownLabel(f"duplicate labels: {', '.join(dupes)}")
     _check_size(labels)
     index = {lab: i for i, lab in enumerate(labels)}
-    seen: set[tuple[int, int]] = set()
+    parents: list[set[int]] = [set() for _ in labels]
     for a, b in edges:
         if a not in index or b not in index:
             missing = a if a not in index else b
             raise UnknownLabel(f"edge endpoint {missing!r} is not a declared node")
-        pair = (index[a], index[b])
-        if pair in seen:
+        if index[a] in parents[index[b]]:
             raise DuplicateEdge(f"duplicate edge {a} -> {b}")
-        if pair[0] == pair[1]:
+        if a == b:
             raise CycleDetected((a,))
-        seen.add(pair)
-    dag = Dag(labels=labels, edges=frozenset(seen))
-    dag.topological_order  # raises CycleDetected
-    return dag
+        parents[index[b]].add(index[a])
+    return Dag(labels, tuple(tuple(sorted(ps)) for ps in parents))
 
 
 def _ancestor_mask(parent_masks: Sequence[int], seed: int) -> int:

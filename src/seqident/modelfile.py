@@ -146,7 +146,7 @@ def parse_model_file(text: str) -> ParsedModelFile:
             continue
         head = toks[0]
         if head.text == "stages":
-            if len(toks) != 2 or not toks[1].text.isdigit():
+            if len(toks) != 2 or not re.fullmatch(r"\d+", toks[1].text):
                 err(head, "expected 'stages <N>'")
             elif stages is not None:
                 err(head, "duplicate stages line")

@@ -25,6 +25,7 @@ from .diagram import (
     REGIME,
     StagedDiagram,
     StrategyParentSpec,
+    VarKind,
     augment_with_regime,
     build_check_graph,
     build_pearl_robins_graph,
@@ -57,14 +58,12 @@ class IdentificationReport:
         return all(e.passed for e in self.entries)
 
 
-def _render(d: StagedDiagram, x: Iterable[str], y: Iterable[str], z: Iterable[str]) -> str:
-    pos = d.position
-
-    def order(labels: Iterable[str]) -> list[str]:
-        return sorted(labels, key=lambda v: pos.get(v, len(pos)))
-
-    left = ", ".join(order(x)) + " _||_ " + ", ".join(order(y))
-    zs = order(z)
+def _render(d: StagedDiagram, x: Iterable[str], y: tuple[str], z: Iterable[str]) -> str:
+    """The query as text, x and z in diagram order; y is one label, which may
+    be the regime node, and has nothing to sort."""
+    order = d.position.__getitem__
+    left = ", ".join(sorted(x, key=order)) + " _||_ " + ", ".join(y)
+    zs = sorted(z, key=order)
     return left + (" | " + ", ".join(zs) if zs else "")
 
 
@@ -105,7 +104,7 @@ def _stability(d: StagedDiagram, with_hidden: bool) -> IdentificationReport:
         if with_hidden:
             if i <= d.n_stages:
                 block = d.hidden_labels(i) + block
-            past += tuple(h for j in range(1, i) for h in d.hidden_labels(j))
+            past += d.stage_span(VarKind.HIDDEN, 1, i)
         if not block:
             missing = "covariates or hidden variables" if with_hidden else "covariates"
             entries.append(CheckEntry(i, f"stage {i} has no {missing}", True, None, "vacuous"))

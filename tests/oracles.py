@@ -8,7 +8,10 @@ search, and the Kahn order with its cycle search, that ``seqident.graph``
 used before it worked on node ids; the id-based code must reproduce them
 exactly.  Next to them are the regime graph, the hybrid-regime and the
 edge-deleted check graphs as ``seqident.diagram`` built them from label
-edge lists through ``build_dag``, before it derived them from parent ids.
+edge lists through ``build_dag``, before it derived them from parent ids,
+and the per-stage label accessors and parent normalisation as
+``StagedDiagram`` ran them before it kept a per-kind stage index: a scan
+over every variable per call, and a rebuild through ``staged_diagram``.
 Beside the one-candidate-at-a-time brute force, its candidates are decoded
 on their own and built through ``make_deterministic``, apart from
 ``StrategyEnumeration``, and choice-table indices are decoded one history
@@ -46,9 +49,16 @@ from seqident import (
     evaluate_g_recursion,
     kernel,
     make_deterministic,
+    staged_diagram,
 )
 from seqident.diagram import VarKind, kernel_parent_order
-from seqident.errors import NoRegimeNode, OverlappingSets, SeqidentError
+from seqident.errors import (
+    NoRegimeNode,
+    OverlappingSets,
+    SeqidentError,
+    StageOutOfRange,
+    UnknownLabel,
+)
 from seqident.prob import (
     JointTable,
     PositivityIssue,
@@ -206,6 +216,75 @@ def pearl_robins_graph_reference(
         if src != a_i and not (dst in later and src not in later[dst])
     ]
     return build_dag(dprime.labels, kept)
+
+
+def action_label_scan(d: StagedDiagram, i: int) -> str:
+    if not 1 <= i <= d.n_stages:
+        raise StageOutOfRange(f"stage {i} not in 1..{d.n_stages}")
+    for v in d.vars:
+        if v.kind is VarKind.ACTION and v.stage == i:
+            return v.label
+    raise UnknownLabel(f"no action at stage {i}")
+
+
+def covariate_labels_scan(d: StagedDiagram, i: int) -> tuple[str, ...]:
+    return tuple(v.label for v in d.vars if v.kind is VarKind.COVARIATE and v.stage == i)
+
+
+def hidden_labels_scan(d: StagedDiagram, i: int) -> tuple[str, ...]:
+    return tuple(v.label for v in d.vars if v.kind is VarKind.HIDDEN and v.stage == i)
+
+
+def actions_before_scan(d: StagedDiagram, i: int) -> tuple[str, ...]:
+    return tuple(v.label for v in d.vars if v.kind is VarKind.ACTION and v.stage < i)
+
+
+def covariates_before_scan(d: StagedDiagram, i: int) -> tuple[str, ...]:
+    return tuple(v.label for v in d.vars if v.kind is VarKind.COVARIATE and v.stage < i)
+
+
+def covariates_through_scan(d: StagedDiagram, i: int) -> tuple[str, ...]:
+    return tuple(v.label for v in d.vars if v.kind is VarKind.COVARIATE and v.stage <= i)
+
+
+# each per-stage accessor of StagedDiagram, by method name
+STAGE_SCANS = {
+    "action_label": action_label_scan,
+    "covariate_labels": covariate_labels_scan,
+    "hidden_labels": hidden_labels_scan,
+    "actions_before": actions_before_scan,
+    "covariates_before": covariates_before_scan,
+    "covariates_through": covariates_through_scan,
+}
+
+
+def hidden_past_scan(d: StagedDiagram, i: int) -> tuple[str, ...]:
+    """The hidden variables of stages 1..i-1, as extended stability adds
+    them to the stage-i past."""
+    return tuple(h for j in range(1, i) for h in hidden_labels_scan(d, j))
+
+
+def stage_action_count_scan(d: StagedDiagram, i: int) -> int:
+    return len([v for v in d.vars if v.kind is VarKind.ACTION and v.stage == i])
+
+
+def normalize_parents_reference(d: StagedDiagram, spec: StrategyParentSpec) -> StagedDiagram:
+    extra_edges: list[tuple[str, str]] = []
+    extra_inert: set[tuple[str, str]] = set(d.inert)
+    for action in d.actions:
+        have = set(d.pa_o(action))
+        for p in kernel_parent_order(d, spec, action):
+            if p not in have:
+                extra_edges.append((p, action))
+                extra_inert.add((action, p))
+    if not extra_edges:
+        return d
+    return staged_diagram(
+        d.n_stages,
+        [(v.label, v.kind, v.stage) for v in d.vars],
+        list(d.edges) + extra_edges,
+        inert=extra_inert,
+    )
 
 
 def kahn_order(n: int, edges: set[tuple[int, int]]) -> tuple[int, ...]:

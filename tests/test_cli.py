@@ -61,6 +61,14 @@ class TestValidate:
         assert "Is a directory" in err and "Traceback" not in err
 
 
+    def test_superscript_stage_count_is_located(self, capsys, tmp_path):
+        p = tmp_path / "superscript.sid"
+        p.write_text("stages \u00b2\nvar A1 action stage=1\nvar Y outcome stage=2\n")
+        code, out, err = run(capsys, "validate", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("line 1, col 1: expected 'stages <N>'\n")
+
+
 def _wide_file(tmp_path, n_vars: int) -> Path:
     # one stage: hidden variables, then the action and the outcome
     lines = ["stages 1"] + [f"var U{j} hidden stage=1" for j in range(1, n_vars - 1)]
@@ -461,6 +469,85 @@ class TestReport:
         assert code == 1 and err == ""
         assert doc["verdict"] == "IdentifiedSimple" and doc["value"] is None
         assert doc["strategy_table"] == {"error": self._NEVER_ONE}
+
+
+# fig2b.sid's one-row cpt of L1 replaced, and what validate says of it
+_FLAGGED_ROWS = {
+    "nan": ("nan 0.6", "BadProbability [L1]: entry (0,) is nan, not a probability"),
+    "negative": ("-0.4 1.4", "BadProbability [L1]: entry (0,) is -0.4, not a probability"),
+    "unnormalised": ("1.4 0.6", "RowNotNormalized [L1]: row () sums to 2"),
+}
+
+
+def _flagged_fig2b(models_dir, tmp_path, row: str, y_row: str = "0.9 0.1") -> Path:
+    text = (models_dir / "fig2b.sid").read_text()
+    text = text.replace("cpt L1 | - : 0.4 0.6", f"cpt L1 | - : {row}")
+    text = text.replace("cpt Y | A1 A2 : 0.9 0.1", f"cpt Y | A1 A2 : {y_row}")
+    p = tmp_path / "flagged.sid"
+    p.write_text(text)
+    return p
+
+
+class TestFlaggedModel:
+    """A model that validate flags is not read by the numeric commands: they
+    exit 2 with validate's lines on stderr, and report puts the first line
+    in its numeric fields and exits 1."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("positivity", "--strategy", "threshold"),
+            ("evaluate", "--strategy", "threshold"),
+            ("evaluate", "--strategy", "threshold", "--method", "oracle"),
+            ("evaluate", "--strategy", "threshold", "--method", "decomposition"),
+            ("optimize",),
+            ("optimize", "--spec", "none"),
+            ("dsep", "L2", "/", "Y", "/", "A1", "A2", "--numeric"),
+            ("dsep", "Y", "/", "sigma", "/", "A1", "A2", "L2", "--numeric"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", sorted(_FLAGGED_ROWS))
+    def test_numeric_commands_exit_two(self, capsys, models_dir, tmp_path, argv, kind):
+        row, message = _FLAGGED_ROWS[kind]
+        p = _flagged_fig2b(models_dir, tmp_path, row)
+        code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert code == 2 and out == "" and err == message + "\n"
+
+    @pytest.mark.parametrize("kind", sorted(_FLAGGED_ROWS))
+    def test_validate_lists_it(self, capsys, models_dir, tmp_path, kind):
+        row, message = _FLAGGED_ROWS[kind]
+        code, out, err = run(capsys, "validate", str(_flagged_fig2b(models_dir, tmp_path, row)))
+        assert code == 1 and err == "" and out == message + "\n"
+
+    @pytest.mark.parametrize("strategy", [None, "threshold"])
+    @pytest.mark.parametrize("kind", sorted(_FLAGGED_ROWS))
+    def test_report_puts_the_first_issue_in_numeric_fields(
+        self, capsys, models_dir, tmp_path, kind, strategy
+    ):
+        row, message = _FLAGGED_ROWS[kind]
+        p = _flagged_fig2b(models_dir, tmp_path, row)
+        extra = [] if strategy is None else ["--strategy", strategy]
+        code, out, err = run(capsys, "report", str(p), *extra)
+        assert code == 1 and err == ""
+        want = ["verdict: IdentifiedSimple"] + ([] if strategy is None else [f"evaluate: {message}"])
+        assert out.splitlines()[-len(want) - 1:] == want + [f"optimize: {message}"]
+        assert "splice-agreement" not in out
+        code, out, err = run(capsys, "report", str(p), "--format", "json", *extra)
+        doc = json.loads(out)
+        assert code == 1 and err == ""
+        assert doc["verdict"] == "IdentifiedSimple"
+        assert doc["strategy_table"] == {"error": message}
+        assert doc["value"] == (None if strategy is None else {"error": message})
+
+    def test_every_issue_goes_to_stderr(self, capsys, models_dir, tmp_path):
+        p = _flagged_fig2b(models_dir, tmp_path, "nan 0.6", y_row="0.9 0.9")
+        code, out, _ = run(capsys, "validate", str(p))
+        lines = out.splitlines()
+        assert code == 1 and len(lines) == 2 and lines[1].startswith("RowNotNormalized [Y]")
+        code, out, err = run(capsys, "evaluate", str(p), "--strategy", "threshold")
+        assert code == 2 and out == "" and err.splitlines() == lines
+        code, out, _ = run(capsys, "report", str(p), "--format", "json")
+        assert code == 1 and json.loads(out)["strategy_table"] == {"error": lines[0]}
 
 
 # one valid command line per subcommand, and the flags each one reads

@@ -25,13 +25,22 @@ from seqident.errors import (
     UnknownLabel,
 )
 from seqident.fuzz import random_parent_spec, random_staged_diagram
-from seqident.graph import Dag, build_dag, d_separated
+from seqident.diagram import VarKind
+from seqident.graph import build_dag, d_separated
 
 from .oracles import (
+    STAGE_SCANS,
+    actions_before_scan,
     check_graph_reference,
+    covariate_labels_scan,
+    covariates_before_scan,
+    hidden_labels_scan,
+    hidden_past_scan,
+    normalize_parents_reference,
     pearl_robins_graph_reference,
     regime_dag_reference,
     separation_witness_reference,
+    stage_action_count_scan,
     strip_regime,
 )
 
@@ -114,6 +123,127 @@ class TestValidate:
         d = staged_diagram(2, [("A1", "action", 1), ("A2", "action", 2), ("Y", "outcome", 2)], [])
         codes = {v.code for v in validate_diagram(d)}
         assert "BadStageOrder" in codes
+
+
+def _outcome(call):
+    """A call's value, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+# diagrams that fail validation in the stage layout
+_INVALID_LAYOUTS = [
+    (2, [("A1", "action", 1), ("B1", "action", 1), ("A2", "action", 2), ("Y", "outcome", 3)]),
+    (2, [("L1", "covariate", 1), ("A1", "action", 1), ("Y", "outcome", 3)]),
+    (2, [("A0", "action", 0), ("A1", "action", 1), ("A3", "action", 3), ("Y", "outcome", 3)]),
+    (1, [("U0", "hidden", 0), ("L0", "covariate", 0), ("A1", "action", 1),
+         ("U2", "hidden", 2), ("L2", "covariate", 2), ("Y", "outcome", 2)]),
+    (2, [("U", "hidden", -1), ("A", "action", -2), ("L", "covariate", 5),
+         ("A2", "action", 2), ("Y", "outcome", 1), ("Z", "outcome", 4)]),
+    (0, [("L1", "covariate", 1), ("A1", "action", 1)]),
+]
+
+
+class TestStageIndex:
+    """Each per-stage accessor equals a scan over every variable, on valid
+    diagrams and on layouts that fail validation, errors included."""
+
+    def _diagrams(self):
+        rng = np.random.default_rng(31)
+        out = [random_staged_diagram(rng, max_stages=4, max_extra=6) for _ in range(60)]
+        out += [staged_diagram(n, decls, []) for n, decls in _INVALID_LAYOUTS]
+        return out
+
+    def test_accessors_match_scans(self):
+        for d in self._diagrams():
+            assert d.actions == tuple(v.label for v in d.vars if v.kind is VarKind.ACTION)
+            assert d.hiddens == tuple(v.label for v in d.vars if v.kind is VarKind.HIDDEN)
+            for i in range(-1, d.n_stages + 3):
+                for name, scan in STAGE_SCANS.items():
+                    got = _outcome(lambda: getattr(d, name)(i))
+                    assert got == _outcome(lambda: scan(d, i)), (name, i, d.vars)
+                assert d.stage_span(VarKind.HIDDEN, 1, i) == hidden_past_scan(d, i)
+                count = len(d.stage_span(VarKind.ACTION, i, i + 1))
+                assert count == stage_action_count_scan(d, i)
+
+    def test_stability_queries_match_scans(self, monkeypatch):
+        # the blocks and pasts the two stability checks pose, from the scans
+        from seqident import stability
+
+        posed = []
+
+        def record(g, x, y, z=()):
+            posed.append((tuple(x), tuple(y), tuple(z)))
+            return stability.SeparationVerdict(True)
+
+        monkeypatch.setattr(stability, "d_separated", record)
+        for d in self._diagrams()[:-1]:  # the last layout has no outcome
+            y = next(v.label for v in d.vars if v.kind is VarKind.OUTCOME)
+            want = []
+            for with_hidden in (False, True):
+                n = d.n_stages
+                for i in range(1, n + 2):
+                    block = (y,) if i == n + 1 else covariate_labels_scan(d, i)
+                    past = actions_before_scan(d, i) + covariates_before_scan(d, i)
+                    if with_hidden:
+                        block = (hidden_labels_scan(d, i) if i <= n else ()) + block
+                        past += hidden_past_scan(d, i)
+                    if block:
+                        want.append((block, ("sigma",), past))
+            posed.clear()
+            stability.check_simple_stability(d)
+            stability.check_extended_stability(d)
+            assert posed == want
+
+    def test_invalid_layouts_keep_their_violations(self):
+        found = [
+            [v.message for v in validate_diagram(staged_diagram(n, decls, []))]
+            for n, decls in _INVALID_LAYOUTS
+        ]
+        assert "stage 1 must hold exactly one action, found 2" in found[0]
+        assert "stage 2 must hold exactly one action, found 0" in found[1]
+        assert "stage 2 must hold exactly one action, found 0" in found[2]
+        assert "need at least one stage, got 0" in found[5]
+
+    def test_outcome_label(self):
+        for d in self._diagrams():
+            want = next((v.label for v in d.vars if v.kind is VarKind.OUTCOME), None)
+            got = _outcome(lambda: d.outcome_label)
+            assert got == (want if want is not None else (UnknownLabel, "no outcome variable"))
+
+
+class TestParentIds:
+    """A diagram's graph and its normalisation, built from parent ids, equal
+    the graph build_dag makes from its edge list and the rebuild through
+    staged_diagram."""
+
+    def test_dag_matches_build_dag(self):
+        rng = np.random.default_rng(37)
+        for k in range(200):
+            d = random_staged_diagram(rng, max_stages=4, max_extra=6)
+            if k % 2:
+                d = _with_reversed_edges(rng, d)
+            assert _built(lambda: d.dag) == _built(lambda: build_dag(d.labels, d.edges))
+            if validate_diagram(d) == ():
+                assert d.dag == build_dag(d.labels, d.edges)
+
+    def test_normalize_matches_rebuild(self):
+        rng = np.random.default_rng(41)
+        changed = 0
+        for _ in range(150):
+            d = random_staged_diagram(rng, max_stages=4, max_extra=6)
+            for spec in (full_history_spec(d), unconditional_spec(d), random_parent_spec(rng, d)):
+                dn, want = normalize_parents(d, spec), normalize_parents_reference(d, spec)
+                assert (dn is d) == (want is d)
+                changed += dn is not d
+                assert (dn.n_stages, dn.vars, dn.edges, dn.inert) == (
+                    want.n_stages, want.vars, want.edges, want.inert
+                )
+                assert dn.parents == want.parents and dn.dag == want.dag
+                assert dn.parent_ids == want.parent_ids
+        assert changed >= 100
 
 
 class TestRegime:
@@ -321,7 +451,7 @@ class TestDerivedGraphs:
                     ))
             for g, want in graphs:
                 assert (g.labels, g.edges) == (want.labels, want.edges)
-                assert g.parents == Dag(g.labels, g.edges).parents
+                assert g.parents == want.parents
                 for _ in range(3):
                     roles = rng.integers(0, 4, size=len(g.labels))  # 0 x, 1 y, 2 z, 3 out
                     x, y, z = ({lab for lab, r in zip(g.labels, roles) if r == j} for j in range(3))

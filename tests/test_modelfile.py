@@ -143,6 +143,14 @@ class TestParse:
         assert (issue.line, issue.col) == (1, 8)
         assert str(MAX_NODES) in issue.message
 
+    @pytest.mark.parametrize("count", ["\u00b2", "\u2167", "1.5", "-1", "x"])
+    def test_stage_count_must_be_decimal_digits(self, count):
+        # str.isdigit accepts a superscript two, which int() then rejects
+        text = GRAPH_ONLY.replace("stages 1", f"stages {count}")
+        with pytest.raises(ModelFileError) as exc:
+            parse_model_file(text)
+        assert str(exc.value.issues[0]) == "line 1, col 1: expected 'stages <N>'"
+
     def test_multiple_errors_collected(self):
         text = "stages 1\nvar A1 act stage=1\nvar A1 action stage=x\n"
         with pytest.raises(ModelFileError) as exc:
