@@ -90,9 +90,8 @@ def _load(path: str) -> ParsedModelFile:
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_start = raw.rfind(b"\n", 0, exc.start) + 1
-        line = raw.count(b"\n", 0, exc.start) + 1
-        issue = ParseIssue(line, exc.start - line_start + 1, "not UTF-8 text")
+        head = raw[: exc.start].decode("utf-8")  # the text before the first bad byte
+        issue = ParseIssue(head.count("\n") + 1, len(head) - head.rfind("\n"), "not UTF-8 text")
         raise ModelFileError([issue]) from None
     return parse_model_file(text)
 

@@ -118,8 +118,20 @@ def _sum_block(weights: np.ndarray, f: np.ndarray, nblock: int) -> np.ndarray:
     return np.sum(weights * f, axis=tuple(range(-nblock, 0))) if nblock else weights * f
 
 
+def _check_loss(k: LossFunction, outcome: str, n_states: int) -> None:
+    """Refuse a loss that is not a table over the outcome's states."""
+    if k.outcome != outcome:
+        raise ValueError(f"loss is over {k.outcome!r}, not the outcome {outcome!r}")
+    if k.values.shape != (n_states,):
+        raise ValueError(
+            f"loss has {k.values.size} entries, outcome {outcome!r} has {n_states} states"
+        )
+
+
 def _loss_table(oc: ObservationalConditionals, k: LossFunction) -> np.ndarray:
     """The loss broadcast over every observed history, as a fresh float table."""
+    y = oc.block_vars[-1][0]  # the last block is the outcome
+    _check_loss(k, y, oc.states[y])
     return np.broadcast_to(k.values, tuple(oc.states[v] for v in oc.observed_order)).astype(float)
 
 
@@ -191,6 +203,7 @@ def evaluate_oracle(
     computed by eliminating the other variables one at a time.
     """
     y = (d.outcome_label,)
+    _check_loss(k, y[0], m.states[y[0]])
     return EvaluationResult(
         value=expectation(JointTable(y, _regime_marginal(m, d, s, y)), k), method="oracle"
     )
@@ -206,6 +219,7 @@ def evaluate_decomposition(
     """
     if not s.deterministic:
         raise ValueError("decomposition evaluation requires a deterministic strategy")
+    _check_loss(k, d.outcome_label, m.states[d.outcome_label])
     lvars = tuple(v for i in range(1, d.n_stages + 1) for v in d.covariate_labels(i))
     sub = _regime_marginal(m, d, s, lvars + (d.outcome_label,))
     pl = sub.sum(axis=-1)

@@ -15,10 +15,15 @@ Variables must be declared before they are referenced.  State counts are
 inferred from the probability-vector lengths, so a file either carries a
 complete cpt section or none at all.  Strategy kernels are bound only when a
 model is present; the parent sets in strategy headers are always available.
+
+A line is parsed as the plain strings that ``str.split`` makes of it, up to
+its comment.  Issues name a token by its index on the line, and its column is
+worked out from the raw line only when an issue is reported.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -72,193 +77,143 @@ class ParsedModelFile:
         raise UnknownLabel(f"no strategy named {name!r} in file")
 
 
-@dataclass
-class _Tok:
-    text: str
-    line: int
-    col: int
+def _col(raw: str, k: int) -> int:
+    """1-based column of token k of a raw line (``str.split`` splits on the same
+    whitespace as ``\\S+``)."""
+    body = raw.split("#", 1)[0]
+    return next(itertools.islice(re.finditer(r"\S+", body), k, None)).start() + 1
 
 
-def _tokenize(text: str) -> list[list[_Tok]]:
-    lines = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        toks = [
-            _Tok(m.group(0), ln, m.start() + 1) for m in re.finditer(r"\S+", body)
-        ]
-        lines.append(toks)
-    return lines
+def _find(toks: list[str], text: str, start: int) -> int | None:
+    try:
+        return toks.index(text, start)
+    except ValueError:
+        return None
 
 
 @dataclass
 class _TableRows:
     parents: tuple[str, ...]
-    header: _Tok
-    rows: list[tuple[int, list[float]]]  # (line, probabilities)
-
-
-def _split_bar_colon(
-    toks: list[_Tok], start: int, issues: list[ParseIssue]
-) -> tuple[list[_Tok], list[_Tok]] | None:
-    """Split ``... | parents : numbers`` after position start."""
-    rest = toks[start:]
-    bar = next((i for i, t in enumerate(rest) if t.text == "|"), None)
-    colon = next((i for i, t in enumerate(rest) if t.text == ":"), None)
-    if bar is None or colon is None or colon < bar:
-        t = toks[0]
-        issues.append(ParseIssue(t.line, t.col, "expected '| <parents> : <numbers>'"))
-        return None
-    return rest[bar + 1 : colon], rest[colon + 1 :]
-
-
-def _parse_floats(toks: list[_Tok], issues: list[ParseIssue]) -> list[float] | None:
-    if not toks:
-        return None
-    vals = []
-    for t in toks:
-        try:
-            vals.append(float(t.text))
-        except ValueError:
-            issues.append(ParseIssue(t.line, t.col, f"not a number: {t.text!r}"))
-            return None
-    return vals
+    at: tuple[int, int]  # line and column of the first directive
+    rows: list[list[float]]
 
 
 def parse_model_file(text: str) -> ParsedModelFile:
     """Parse a model file; raises ModelFileError carrying every issue found."""
     issues: list[ParseIssue] = []
     stages: int | None = None
-    var_decls: list[tuple[str, str, int]] = []
-    var_names: set[str] = set()
-    edges: list[tuple[str, str]] = []
-    edge_seen: set[tuple[str, str]] = set()
-    cpt_rows: dict[str, _TableRows] = {}
-    strat_rows: dict[tuple[str, str], _TableRows] = {}
-    strat_order: list[str] = []
+    declared: dict[str, tuple[str, int]] = {}  # name -> (kind, stage)
+    edges: dict[tuple[str, str], None] = {}
+    tables: dict[tuple[str, ...], _TableRows] = {}  # ("cpt", var) or ("strategy", name, action)
     loss_vals: list[float] | None = None
-    loss_tok: _Tok | None = None
+    loss_at = (0, 0)
+    ln, raw = 0, ""  # the line being parsed, which err() locates tokens on
 
-    def err(t: _Tok, msg: str) -> None:
-        issues.append(ParseIssue(t.line, t.col, msg))
+    def err(k: int, msg: str) -> None:
+        issues.append(ParseIssue(ln, _col(raw, k), msg))
 
-    for toks in _tokenize(text):
+    def undeclared(toks: list[str], k: int) -> bool:
+        if toks[k] in declared:
+            return False
+        err(k, f"undeclared variable {toks[k]!r}")
+        return True
+
+    def numbers(toks: list[str], start: int) -> list[float] | None:
+        vals = []
+        for k in range(start, len(toks)):
+            try:
+                vals.append(float(toks[k]))
+            except ValueError:
+                err(k, f"not a number: {toks[k]!r}")
+                return None
+        return vals or None
+
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split("#", 1)[0].split()
         if not toks:
             continue
         head = toks[0]
-        if head.text == "stages":
-            if len(toks) != 2 or not re.fullmatch(r"\d+", toks[1].text):
-                err(head, "expected 'stages <N>'")
+        if head == "stages":
+            if len(toks) != 2 or not re.fullmatch(r"\d+", toks[1]):
+                err(0, "expected 'stages <N>'")
             elif stages is not None:
-                err(head, "duplicate stages line")
+                err(0, "duplicate stages line")
             else:
-                stages = int(toks[1].text)
+                stages = int(toks[1])
                 if stages + 1 > MAX_NODES:  # one action per stage plus the outcome
-                    err(toks[1], f"{stages} stages need {stages + 1} nodes; the maximum is {MAX_NODES}")
-        elif head.text == "var":
+                    err(1, f"{stages} stages need {stages + 1} nodes; the maximum is {MAX_NODES}")
+        elif head == "var":
             if len(toks) != 4:
-                err(head, "expected 'var <name> <kind> stage=<i>'")
+                err(0, "expected 'var <name> <kind> stage=<i>'")
                 continue
-            name, kind, stage_tok = toks[1], toks[2], toks[3]
-            if kind.text not in _KINDS:
-                err(kind, f"unknown kind {kind.text!r}; expected one of {sorted(_KINDS)}")
+            _, name, kind, stage = toks
+            m = re.fullmatch(r"stage=(\d+)", stage)
+            if kind not in _KINDS:
+                err(2, f"unknown kind {kind!r}; expected one of {sorted(_KINDS)}")
+            elif not m:
+                err(3, "expected stage=<i>")
+            elif name in declared:
+                err(1, f"duplicate variable {name!r}")
+            elif name == REGIME:
+                err(1, f"{REGIME!r} is reserved for the regime node")
+            else:
+                if len(declared) == MAX_NODES:
+                    err(1, f"{name!r} is variable {MAX_NODES + 1}; the maximum is {MAX_NODES}")
+                declared[name] = (kind, int(m.group(1)))
+        elif head == "edge":
+            if len(toks) != 4 or toks[2] != "->":
+                err(0, "expected 'edge <from> -> <to>'")
+            elif not undeclared(toks, 1) | undeclared(toks, 3):  # `|`: report both ends
+                if (toks[1], toks[3]) in edges:
+                    err(1, f"duplicate edge {toks[1]} -> {toks[3]}")
+                else:
+                    edges[toks[1], toks[3]] = None
+        elif head in ("cpt", "strategy"):
+            # cpt <var> | ... and strategy <name> <action> | ...: the checked
+            # variable is the last token before the parent list
+            need = 2 if head == "cpt" else 3
+            if len(toks) <= need:
+                err(0, f"malformed {head} line")
                 continue
-            m = re.fullmatch(r"stage=(\d+)", stage_tok.text)
-            if not m:
-                err(stage_tok, "expected stage=<i>")
+            bar, colon = _find(toks, "|", need), _find(toks, ":", need)
+            if bar is None or colon is None or colon < bar:
+                err(0, "expected '| <parents> : <numbers>'")
                 continue
-            if name.text in var_names:
-                err(name, f"duplicate variable {name.text!r}")
-                continue
-            if name.text == REGIME:
-                err(name, f"{REGIME!r} is reserved for the regime node")
-                continue
-            if len(var_decls) == MAX_NODES:
-                err(name, f"{name.text!r} is variable {MAX_NODES + 1}; the maximum is {MAX_NODES}")
-            var_names.add(name.text)
-            var_decls.append((name.text, kind.text, int(m.group(1))))
-        elif head.text == "edge":
-            if len(toks) != 4 or toks[2].text != "->":
-                err(head, "expected 'edge <from> -> <to>'")
-                continue
-            a, b = toks[1], toks[3]
-            bad = False
-            for t in (a, b):
-                if t.text not in var_names:
-                    err(t, f"undeclared variable {t.text!r}")
+            bad = undeclared(toks, need - 1)
+            parents = toks[bar + 1 : colon]
+            if parents == ["-"]:
+                parents = []
+            for j, p in enumerate(parents):
+                bad |= undeclared(toks, bar + 1 + j)
+                if p in parents[:j]:
+                    err(bar + 1 + j, f"duplicate parent {p!r}")
                     bad = True
-            if bad:
-                continue
-            if (a.text, b.text) in edge_seen:
-                err(a, f"duplicate edge {a.text} -> {b.text}")
-                continue
-            edge_seen.add((a.text, b.text))
-            edges.append((a.text, b.text))
-        elif head.text in ("cpt", "strategy"):
-            is_cpt = head.text == "cpt"
-            need = 2 if is_cpt else 3
-            if len(toks) < need + 1:
-                err(head, f"malformed {head.text} line")
-                continue
-            names = toks[1:need]
-            split = _split_bar_colon(toks, need, issues)
-            if split is None:
-                continue
-            parent_toks, prob_toks = split
-            bad = False
-            for t in names:
-                if head.text == "strategy" and t is names[0]:
-                    continue  # strategy name, not a variable
-                if t.text not in var_names:
-                    err(t, f"undeclared variable {t.text!r}")
-                    bad = True
-            parents: list[str] = []
-            if not (len(parent_toks) == 1 and parent_toks[0].text == "-"):
-                for t in parent_toks:
-                    if t.text not in var_names:
-                        err(t, f"undeclared variable {t.text!r}")
-                        bad = True
-                    if t.text in parents:
-                        err(t, f"duplicate parent {t.text!r}")
-                        bad = True
-                    parents.append(t.text)
-            probs = _parse_floats(prob_toks, issues)
+            probs = numbers(toks, colon + 1)
             if probs is None:
-                err(head, "missing probabilities")
-                bad = True
+                err(0, "missing probabilities")
+                continue
             if bad:
                 continue
-            key: str | tuple[str, str]
-            if is_cpt:
-                key = names[0].text
-                book = cpt_rows
-            else:
-                key = (names[0].text, names[1].text)
-                book = strat_rows  # type: ignore[assignment]
-                if names[0].text not in strat_order:
-                    strat_order.append(names[0].text)
-            entry = book.get(key)  # type: ignore[arg-type]
+            key = tuple(toks[:need])
+            entry = tables.get(key)
             if entry is None:
-                book[key] = _TableRows(tuple(parents), head, [(head.line, probs)])  # type: ignore[index]
+                tables[key] = _TableRows(tuple(parents), (ln, _col(raw, 0)), [probs])
+            elif entry.parents != tuple(parents):
+                err(0, f"inconsistent parent list; first declared {entry.parents}")
             else:
-                if entry.parents != tuple(parents):
-                    err(head, f"inconsistent parent list; first declared {entry.parents}")
-                    continue
-                entry.rows.append((head.line, probs))
-        elif head.text == "loss":
-            split = _split_colon_only(toks, issues)
-            if split is None:
-                continue
-            if loss_vals is not None:
-                err(head, "duplicate loss line")
-                continue
-            vals = _parse_floats(split, issues)
-            if vals is None:
-                err(head, "missing loss values")
-                continue
-            loss_vals = vals
-            loss_tok = head
+                entry.rows.append(probs)
+        elif head == "loss":
+            colon = _find(toks, ":", 0)
+            if colon is None:
+                err(0, "expected ': <numbers>'")
+            elif loss_vals is not None:
+                err(0, "duplicate loss line")
+            elif (vals := numbers(toks, colon + 1)) is None:
+                err(0, "missing loss values")
+            else:
+                loss_vals, loss_at = vals, (ln, _col(raw, 0))
         else:
-            err(head, f"unknown directive {head.text!r}")
+            err(0, f"unknown directive {head!r}")
 
     if stages is None:
         issues.append(ParseIssue(1, 1, "missing 'stages <N>' line"))
@@ -266,26 +221,24 @@ def parse_model_file(text: str) -> ParsedModelFile:
         raise ModelFileError(issues)
     assert stages is not None
 
-    diagram = staged_diagram(stages, var_decls, edges)
+    diagram = staged_diagram(stages, [(n, *decl) for n, decl in declared.items()], list(edges))
+    cpt_rows = {key[1]: rows for key, rows in tables.items() if key[0] == "cpt"}
+    strat_rows = {key[1:]: rows for key, rows in tables.items() if key[0] == "strategy"}
     model, states = _bind_model(diagram, cpt_rows, issues)
-    specs, strategies = _bind_strategies(diagram, strat_rows, strat_order, states, issues)
+    specs, strategies = _bind_strategies(diagram, strat_rows, states, issues)
     loss = None
     if loss_vals is not None:
-        assert loss_tok is not None
-        outcome = diagram.outcome_label
-        if states is not None and len(loss_vals) != states[outcome]:
-            issues.append(
-                ParseIssue(
-                    loss_tok.line,
-                    loss_tok.col,
-                    f"loss has {len(loss_vals)} entries, outcome has {states[outcome]} states",
+        try:
+            outcome = diagram.outcome_label
+            if states is not None and len(loss_vals) != states[outcome]:
+                raise ValueError(
+                    f"loss has {len(loss_vals)} entries, outcome has {states[outcome]} states"
                 )
-            )
-        else:
-            try:
-                loss = loss_function(loss_vals, outcome)
-            except ValueError as exc:
-                issues.append(ParseIssue(loss_tok.line, loss_tok.col, str(exc)))
+            loss = loss_function(loss_vals, outcome)
+        except UnknownLabel:
+            issues.append(ParseIssue(*loss_at, "loss needs an outcome variable"))
+        except ValueError as exc:
+            issues.append(ParseIssue(*loss_at, str(exc)))
     if issues:
         raise ModelFileError(issues)
     return ParsedModelFile(
@@ -295,14 +248,6 @@ def parse_model_file(text: str) -> ParsedModelFile:
         loss=loss,
         strategy_specs=specs,
     )
-
-
-def _split_colon_only(toks: list[_Tok], issues: list[ParseIssue]) -> list[_Tok] | None:
-    colon = next((i for i, t in enumerate(toks) if t.text == ":"), None)
-    if colon is None:
-        issues.append(ParseIssue(toks[0].line, toks[0].col, "expected ': <numbers>'"))
-        return None
-    return toks[colon + 1 :]
 
 
 def _lex_reshape(
@@ -318,15 +263,10 @@ def _lex_reshape(
     for s in given_states:
         expected *= s
     if len(rows.rows) != expected:
-        issues.append(
-            ParseIssue(
-                rows.header.line,
-                rows.header.col,
-                f"{len(rows.rows)} rows given, parent configurations require {expected}",
-            )
-        )
+        msg = f"{len(rows.rows)} rows given, parent configurations require {expected}"
+        issues.append(ParseIssue(*rows.at, msg))
         return None
-    flat = np.array([r for _, r in rows.rows], dtype=float)
+    flat = np.array(rows.rows, dtype=float)
     arr = flat.reshape(tuple(given_states) + (n_own,))
     perm = [rows.parents.index(p) for p in canonical]
     return np.transpose(arr, perm + [len(given_states)])
@@ -341,31 +281,22 @@ def _bind_model(
         return None, None
     states: dict[str, int] = {}
     for var, rows in cpt_rows.items():
-        lengths = {len(r) for _, r in rows.rows}
+        lengths = {len(r) for r in rows.rows}
         if len(lengths) != 1:
-            issues.append(
-                ParseIssue(rows.header.line, rows.header.col, f"rows for {var} differ in length")
-            )
+            issues.append(ParseIssue(*rows.at, f"rows for {var} differ in length"))
             return None, None
         states[var] = lengths.pop()
     missing = [v.label for v in diagram.vars if v.label not in cpt_rows]
     if missing:
-        first = next(iter(cpt_rows.values())).header
-        issues.append(
-            ParseIssue(first.line, first.col, f"cpt section incomplete; missing {missing}")
-        )
+        first = next(iter(cpt_rows.values()))
+        issues.append(ParseIssue(*first.at, f"cpt section incomplete; missing {missing}"))
         return None, None
     cpts: dict[str, np.ndarray] = {}
     for var, rows in cpt_rows.items():
         canonical = diagram.parents[var]
         if set(rows.parents) != set(canonical):
-            issues.append(
-                ParseIssue(
-                    rows.header.line,
-                    rows.header.col,
-                    f"cpt parents {list(rows.parents)} do not match edges {list(canonical)}",
-                )
-            )
+            msg = f"cpt parents {list(rows.parents)} do not match edges {list(canonical)}"
+            issues.append(ParseIssue(*rows.at, msg))
             continue
         arr = _lex_reshape(rows, [states[p] for p in rows.parents], states[var], canonical, issues)
         if arr is not None:
@@ -377,27 +308,23 @@ def _bind_model(
 
 def _bind_strategies(
     diagram: StagedDiagram,
-    strat_rows: dict[tuple[str, str], _TableRows],
-    strat_order: list[str],
+    strat_rows: dict[tuple[str, ...], _TableRows],
     states: dict[str, int] | None,
     issues: list[ParseIssue],
 ) -> tuple[dict[str, StrategyParentSpec], tuple[Strategy, ...] | None]:
     specs: dict[str, StrategyParentSpec] = {}
     strategies: list[Strategy] = []
-    for name in strat_order:
+    for name in dict.fromkeys(n for n, _ in strat_rows):
         mine = {a: rows for (n, a), rows in strat_rows.items() if n == name}
+        at = next(iter(mine.values())).at
         try:
             spec = parent_spec(diagram, {a: rows.parents for a, rows in mine.items()})
         except InvalidParentSpec as exc:
-            header = next(iter(mine.values())).header
-            issues.append(ParseIssue(header.line, header.col, str(exc)))
+            issues.append(ParseIssue(*at, str(exc)))
             continue
         missing = [a for a in diagram.actions if a not in mine]
         if missing:
-            header = next(iter(mine.values())).header
-            issues.append(
-                ParseIssue(header.line, header.col, f"strategy {name} missing kernels for {missing}")
-            )
+            issues.append(ParseIssue(*at, f"strategy {name} missing kernels for {missing}"))
             continue
         specs[name] = spec
         if states is None:
@@ -407,10 +334,8 @@ def _bind_strategies(
         for a, rows in mine.items():
             canonical = kernel_parent_order(diagram, spec, a)
             n_own = states[a]
-            if any(len(r) != n_own for _, r in rows.rows):
-                issues.append(
-                    ParseIssue(rows.header.line, rows.header.col, f"rows must have {n_own} entries")
-                )
+            if any(len(r) != n_own for r in rows.rows):
+                issues.append(ParseIssue(*rows.at, f"rows must have {n_own} entries"))
                 ok = False
                 continue
             arr = _lex_reshape(rows, [states[p] for p in rows.parents], n_own, canonical, issues)
@@ -423,14 +348,20 @@ def _bind_strategies(
         try:
             strategies.append(make_stochastic(diagram, states, spec, kernels, name))
         except (ValueError, SeqidentError) as exc:
-            header = next(iter(mine.values())).header
-            issues.append(ParseIssue(header.line, header.col, str(exc)))
+            issues.append(ParseIssue(*at, str(exc)))
     bound = tuple(strategies) if states is not None and strategies else None
     return specs, bound
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _write_table(out: list[str], head: str, parents: tuple[str, ...], table: np.ndarray) -> None:
+    """One row per parent configuration, in lexicographic order."""
+    prefix = f"{head} | {' '.join(parents) or '-'} : "
+    for row in table.reshape(-1, table.shape[-1]):
+        out.append(prefix + " ".join(_fmt(p) for p in row))
 
 
 def serialize_model_file(pf: ParsedModelFile) -> str:
@@ -442,24 +373,11 @@ def serialize_model_file(pf: ParsedModelFile) -> str:
     for a, b in d.edges:
         out.append(f"edge {a} -> {b}")
     if pf.model is not None:
-        m = pf.model
         for v in d.vars:
-            parents = d.parents[v.label]
-            header = " ".join(parents) if parents else "-"
-            table = m.cpts[v.label].reshape(-1, m.states[v.label])
-            for row in table:
-                out.append(
-                    f"cpt {v.label} | {header} : " + " ".join(_fmt(p) for p in row)
-                )
+            _write_table(out, f"cpt {v.label}", d.parents[v.label], pf.model.cpts[v.label])
     for s in pf.strategies or ():
         for a in s.actions:
-            parents = s.parents_of(a)
-            header = " ".join(parents) if parents else "-"
-            table = s.kernel_table(a).reshape(-1, s.kernel_table(a).shape[-1])
-            for row in table:
-                out.append(
-                    f"strategy {s.name} {a} | {header} : " + " ".join(_fmt(p) for p in row)
-                )
+            _write_table(out, f"strategy {s.name} {a}", s.parents_of(a), s.kernel_table(a))
     if pf.loss is not None:
         out.append("loss : " + " ".join(_fmt(v) for v in pf.loss.values))
     return "\n".join(out) + "\n"

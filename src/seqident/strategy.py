@@ -186,6 +186,8 @@ def kernel(s: Strategy, action: str, history: Mapping[str, int]) -> np.ndarray:
         if p not in history:
             raise MissingConfiguration(f"history missing {p} for {action}")
         v = history[p]
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise MissingConfiguration(f"{p}={v!r} is not an integer state")
         if not 0 <= v < table.shape[ax]:
             raise MissingConfiguration(f"{p}={v} outside its {table.shape[ax]} states")
         idx.append(v)

@@ -61,6 +61,24 @@ class TestValidate:
         assert "Is a directory" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "argv", [("validate",), ("check", "--all"), ("evaluate", "--strategy", "threshold")]
+    )
+    def test_loss_without_outcome_exit_two(self, capsys, models_dir, tmp_path, argv):
+        p = tmp_path / "no-outcome.sid"
+        text = (models_dir / "fig2b.sid").read_text()
+        p.write_text(text.replace("var Y outcome stage=3", "var Y covariate stage=3"))
+        code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert code == 2 and out == ""
+        assert err == "line 49, col 1: loss needs an outcome variable\n"
+
+    def test_invalid_utf8_column_counts_characters(self, capsys, tmp_path):
+        p = tmp_path / "latin1.sid"
+        p.write_bytes("stages 1\n# \u00dc comment ".encode() + b"\xff\n")
+        code, out, err = run(capsys, "validate", str(p))
+        assert code == 2 and out == ""
+        assert err == "line 2, col 13: not UTF-8 text\n"
+
     def test_superscript_stage_count_is_located(self, capsys, tmp_path):
         p = tmp_path / "superscript.sid"
         p.write_text("stages \u00b2\nvar A1 action stage=1\nvar Y outcome stage=2\n")

@@ -20,6 +20,7 @@ from seqident import (
     marginal,
     observational_conditionals,
     optimize_backward,
+    optimize_bruteforce,
     parse_model_file,
     staged_diagram,
 )
@@ -161,6 +162,32 @@ class TestGRecursion:
         got = evaluate_g_recursion(oc, s, unit_loss).value
         want = evaluate_oracle(m, fig2b, s, unit_loss).value
         assert got == pytest.approx(want, abs=1e-12)
+
+
+_ENTRY_POINTS = {
+    "grecursion": lambda m, d, s, k: evaluate_g_recursion(observational_conditionals(m, d), s, k),
+    "oracle": evaluate_oracle,
+    "decomposition": evaluate_decomposition,
+    "backward": lambda m, d, s, k: optimize_backward(
+        observational_conditionals(m, d), d, k, full_history_spec(d)
+    ),
+    "bruteforce": lambda m, d, s, k: optimize_bruteforce(
+        observational_conditionals(m, d), d, k, full_history_spec(d)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "values, outcome, message",
+    [([0, 1], "L1", "loss is over 'L1', not the outcome 'Y'"),
+     ([0, 1, 2], "Y", "loss has 3 entries, outcome 'Y' has 2 states")],
+)
+def test_mismatched_loss_is_refused(fig2b, fig2b_model, entry, values, outcome, message):
+    s = make_unconditional(fig2b, fig2b_model.states, [1, 0])
+    with pytest.raises(ValueError) as exc:
+        _ENTRY_POINTS[entry](fig2b_model, fig2b, s, loss_function(values, outcome))
+    assert str(exc.value) == message
 
 
 class TestDecomposition:

@@ -151,6 +151,15 @@ class TestParse:
             parse_model_file(text)
         assert str(exc.value.issues[0]) == "line 1, col 1: expected 'stages <N>'"
 
+    def test_loss_without_outcome_is_located(self, models_dir):
+        text = (models_dir / "fig2b.sid").read_text()
+        text = text.replace("var Y outcome stage=3", "var Y covariate stage=3")
+        with pytest.raises(ModelFileError) as exc:
+            parse_model_file(text)
+        assert [str(i) for i in exc.value.issues] == [
+            "line 49, col 1: loss needs an outcome variable"
+        ]
+
     def test_multiple_errors_collected(self):
         text = "stages 1\nvar A1 act stage=1\nvar A1 action stage=x\n"
         with pytest.raises(ModelFileError) as exc:

@@ -124,6 +124,19 @@ class TestKernelLookup:
         with pytest.raises(MissingConfiguration):
             kernel(s, "A2", {"A1": 0})
 
+    @pytest.mark.parametrize("state", [True, False, 1.0, np.float64(0.0), "1", None])
+    def test_non_integer_state(self, fig2b, fig2b_model, state):
+        # numpy reads True as a mask and 1.0 as a bad index
+        s = make_stochastic(
+            fig2b,
+            fig2b_model.states,
+            full_history_spec(fig2b),
+            {"A1": np.full((2, 2), 0.5), "A2": np.full((2, 2, 2, 2), 0.5)},
+        )
+        assert kernel(s, "A2", {"L1": 0, "A1": np.int64(1), "L2": 1}).shape == (2,)
+        with pytest.raises(MissingConfiguration, match="not an integer state"):
+            kernel(s, "A2", {"L1": 0, "A1": 1, "L2": state})
+
     def test_point_mass(self, fig2b, fig2b_model):
         spec = parent_spec(fig2b, {"A2": ["L2"]})
         s = make_deterministic(
