@@ -169,8 +169,8 @@ def parse_model_file(text: str) -> ParsedModelFile:
                 else:
                     edges[toks[1], toks[3]] = None
         elif head in ("cpt", "strategy"):
-            # cpt <var> | ... and strategy <name> <action> | ...: the checked
-            # variable is the last token before the parent list
+            # cpt <var> | ... and strategy <name> <action> | ...: the variable
+            # checked is token need - 1, just before the bar on a well-formed line
             need = 2 if head == "cpt" else 3
             if len(toks) <= need:
                 err(0, f"malformed {head} line")
