@@ -49,7 +49,6 @@ from .prob import (
     LossFunction,
     check_positivity,
     ci_deviation,
-    ci_holds,
     dag_joint,
     expectation,
     joint,
@@ -75,7 +74,6 @@ from .strategy import (
     Strategy,
     StrategyEnumeration,
     enumerate_deterministic,
-    from_observational,
     kernel,
     make_deterministic,
     make_stochastic,

@@ -46,7 +46,13 @@ from .evaluate import (
 )
 from .fuzz import theorem2_fuzz
 from .graph import d_separated
-from .modelfile import ModelFileError, ParsedModelFile, ParseIssue, parse_model_file
+from .modelfile import (
+    ModelFileError,
+    ParsedModelFile,
+    ParseIssue,
+    parse_model_file,
+    split_lines,
+)
 from .optimize import optimize_backward, optimize_bruteforce
 from .prob import (
     JointTable,
@@ -90,8 +96,9 @@ def _load(path: str) -> ParsedModelFile:
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = raw[: exc.start].decode("utf-8")  # the text before the first bad byte
-        issue = ParseIssue(head.count("\n") + 1, len(head) - head.rfind("\n"), "not UTF-8 text")
+        # the lines before the first bad byte, counted as the parser counts them
+        head = split_lines(raw[: exc.start].decode("utf-8"))
+        issue = ParseIssue(len(head), len(head[-1]) + 1, "not UTF-8 text")
         raise ModelFileError([issue]) from None
     return parse_model_file(text)
 

@@ -23,11 +23,11 @@ from .prob import (
     DiscreteModel,
     JointTable,
     LossFunction,
+    _blocked_marginal,
     _expand,
     _regime_marginal,
+    _spliced_factors,
     expectation,
-    joint,
-    marginal,
 )
 from .strategy import Strategy
 
@@ -63,9 +63,16 @@ class EvaluationResult:
 
 
 def observational_conditionals(m: DiscreteModel, d: StagedDiagram) -> ObservationalConditionals:
-    """Exact per-stage conditionals from the observational joint."""
+    """Exact per-stage conditionals from the observed law.
+
+    The observed law is the observational product summed over the hidden
+    variables block by block (``_blocked_marginal``), bitwise
+    ``marginal(joint(m, d), d.observed_labels)`` without the dense joint.
+    """
     obs_labels = d.observed_labels
-    table = marginal(joint(m, d), obs_labels).table
+    table = _blocked_marginal(
+        d.labels, m.states, _spliced_factors(m, d, None, d.n_stages), obs_labels
+    )
     hist_vars: list[tuple[str, ...]] = []
     block_vars: list[tuple[str, ...]] = []
     tables: list[np.ndarray] = []

@@ -23,7 +23,6 @@ from .diagram import (
     staged_diagram,
 )
 from .errors import InternalTheorem2Violation
-from .graph import Dag, build_dag
 from .prob import DiscreteModel, LossFunction
 from .stability import IdentifiabilityVerdict, decide_identifiability
 from .strategy import Strategy, make_stochastic
@@ -129,35 +128,6 @@ def random_strategy(
 
 def random_loss(rng: np.random.Generator, states: dict[str, int], outcome: str) -> LossFunction:
     return LossFunction(values=rng.uniform(0.0, 1.0, size=states[outcome]), outcome=outcome)
-
-
-def random_dag(
-    rng: np.random.Generator, max_nodes: int = 7, p_edge: float = 0.5
-) -> Dag:
-    n = int(rng.integers(2, max_nodes + 1))
-    labels = [f"v{i}" for i in range(n)]
-    edges = [
-        (labels[a], labels[b])
-        for a in range(n)
-        for b in range(a + 1, n)
-        if rng.random() < p_edge
-    ]
-    return build_dag(labels, edges)
-
-
-def random_dag_parameterization(
-    rng: np.random.Generator,
-    dag: Dag,
-    state_choices: tuple[int, ...] = (2, 3),
-    floor: float = 0.05,
-) -> tuple[dict[str, int], dict[str, np.ndarray]]:
-    """States and CPTs for a plain DAG, interior probabilities only."""
-    states = {lab: int(rng.choice(state_choices)) for lab in dag.labels}
-    cpts = {}
-    for nid, lab in enumerate(dag.labels):
-        shape = tuple(states[dag.labels[p]] for p in dag.parents[nid]) + (states[lab],)
-        cpts[lab] = _random_rows(rng, shape, floor)
-    return states, cpts
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,11 @@ inferred from the probability-vector lengths, so a file either carries a
 complete cpt section or none at all.  Strategy kernels are bound only when a
 model is present; the parent sets in strategy headers are always available.
 
-A line is parsed as the plain strings that ``str.split`` makes of it, up to
-its comment.  Issues name a token by its index on the line, and its column is
-worked out from the raw line only when an issue is reported.
+Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, not at the other breaks that
+``str.splitlines`` knows.  A line is parsed as the plain strings that
+``str.split`` makes of it, up to its comment; a token the grammar has no
+place for is an issue.  Issues name a token by its index on the line, and
+its column is worked out from the raw line only when an issue is reported.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .prob import DiscreteModel, LossFunction, loss_function
 from .strategy import Strategy, make_stochastic
 
 _KINDS = {k.value for k in VarKind}
+_LINE_BREAK = re.compile(r"\r\n?|\n")
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,11 @@ class ParsedModelFile:
             if s.name == name:
                 return s
         raise UnknownLabel(f"no strategy named {name!r} in file")
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of a model file: breaks at ``\\n``, ``\\r\\n`` and ``\\r`` only."""
+    return _LINE_BREAK.split(text)
 
 
 def _col(raw: str, k: int) -> int:
@@ -128,7 +136,7 @@ def parse_model_file(text: str) -> ParsedModelFile:
                 return None
         return vals or None
 
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(split_lines(text), start=1):
         toks = raw.split("#", 1)[0].split()
         if not toks:
             continue
@@ -180,6 +188,9 @@ def parse_model_file(text: str) -> ParsedModelFile:
                 err(0, "expected '| <parents> : <numbers>'")
                 continue
             bad = undeclared(toks, need - 1)
+            if bar > need:
+                err(need, f"unexpected token {toks[need]!r} before '|'")
+                bad = True
             parents = toks[bar + 1 : colon]
             if parents == ["-"]:
                 parents = []
@@ -206,6 +217,8 @@ def parse_model_file(text: str) -> ParsedModelFile:
             colon = _find(toks, ":", 0)
             if colon is None:
                 err(0, "expected ': <numbers>'")
+            elif colon > 1:
+                err(1, f"unexpected token {toks[1]!r} before ':'")
             elif loss_vals is not None:
                 err(0, "duplicate loss line")
             elif (vals := numbers(toks, colon + 1)) is None:

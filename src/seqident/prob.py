@@ -9,13 +9,16 @@ other factors are regime-invariant by construction, which is exactly what
 makes the strategy joint the ground truth the identification checks talk
 about.
 
-One way to sum a product down: ``_contract`` eliminates the dropped
+Two ways to sum a product down.  ``_contract`` eliminates the dropped
 variables one at a time and multiplies what is left over the kept ones.
 The oracle-side queries (``evaluate_oracle``, ``evaluate_decomposition``,
 ``check_positivity``, ``check_theorem1_numeric`` and ``dsep --numeric``)
 keep a few variables.  The dense builders (``joint``, ``mixed_joint_pi``
 and ``dag_joint``) keep every variable, so their table is the plain
-product; ``observational_conditionals`` reads it.
+product.  ``_blocked_marginal`` builds that plain product one block of
+cells at a time and sums each block down, so the observed law that
+``observational_conditionals`` reads is bitwise the dense joint's marginal
+without a table over every variable.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from .graph import MAX_NODES, Dag
 from .strategy import Strategy
 
 MAX_CELLS = 2**22
+# cells of one block of _blocked_marginal's product: 512 KiB of float64
+BLOCK_CELLS = 2**16
 # _contract names each variable by its position in np.einsum's sublist form,
 # which accepts at most 52 distinct labels
 assert MAX_NODES <= 52, "_contract needs at most 52 variables per contraction"
@@ -174,6 +179,15 @@ def _product(factors: list, scope: Sequence[int], sizes: Sequence[int]) -> np.nd
     return out
 
 
+def _capped_sizes(labels: Sequence[str], states: Mapping[str, int]) -> list[int]:
+    """State counts in ``labels`` order; refuses a product of more than MAX_CELLS cells."""
+    sizes = [states[lab] for lab in labels]
+    cells = math.prod(sizes)
+    if cells > MAX_CELLS:
+        raise StateSpaceTooLarge(f"{cells} cells exceed the cap of {MAX_CELLS}")
+    return sizes
+
+
 def _contract(
     labels: Sequence[str],
     states: Mapping[str, int],
@@ -190,10 +204,7 @@ def _contract(
     is built unless ``keep`` names them all, but the cap is the product of all
     state counts either way.  The factors' dtype is kept.
     """
-    sizes = [states[lab] for lab in labels]
-    cells = math.prod(sizes)
-    if cells > MAX_CELLS:
-        raise StateSpaceTooLarge(f"{cells} cells exceed the cap of {MAX_CELLS}")
+    sizes = _capped_sizes(labels, states)
     pos = {lab: i for i, lab in enumerate(labels)}
     out = [pos[lab] for lab in keep]
     pending = [(arr, tuple(axes)) for axes, arr in factors]
@@ -211,6 +222,53 @@ def _contract(
         pending.append((np.einsum(*itertools.chain.from_iterable(used), merged), tuple(merged)))
         drop.remove(v)
     return _product(pending, out, sizes)
+
+
+def _blocked_marginal(
+    labels: Sequence[str],
+    states: Mapping[str, int],
+    factors: Iterable[tuple[tuple[int, ...], np.ndarray]],
+    keep: Iterable[str],
+) -> np.ndarray:
+    """The product of ``factors`` summed down to ``keep``, axes in ``labels`` order:
+    bitwise ``_product`` over every label summed over the dropped axes, built
+    one block of about BLOCK_CELLS cells at a time.
+
+    A block fixes one configuration of the leading kept axes.  Its cells are
+    ``_product``'s over the factors sliced to the block, and it is summed over
+    the dropped axes by the same numpy reduction.  That reduction adds the
+    dropped configurations to each kept cell in the same order as on the
+    whole product only while its innermost loop runs over a kept axis: a
+    block that fixed the last axis with more than one state would turn that
+    loop into numpy's pairwise sum.  So no block fixes that axis, and when it
+    is dropped the product is one block.  The cap is the product of all state
+    counts.  The factors' dtype is kept.
+    """
+    sizes = _capped_sizes(labels, states)
+    kept = sorted(labels.index(lab) for lab in set(keep))
+    drop = tuple(a for a in range(len(sizes)) if a not in kept)
+    pending = [(arr, axes) for axes, arr in factors]
+    inner = max((a for a, n in enumerate(sizes) if n > 1), default=-1)
+    fixed: list[int] = []
+    cells = math.prod(sizes)
+    for a in kept:
+        if cells <= BLOCK_CELLS or a >= inner or inner in drop:
+            break
+        fixed.append(a)
+        cells //= sizes[a]
+    if not fixed:
+        return _product(pending, range(len(sizes)), sizes).sum(axis=drop)
+    block_sizes = [1 if a in fixed else n for a, n in enumerate(sizes)]
+    dtype = np.result_type(*(np.asarray(arr) for arr, _ in pending))
+    out = np.empty([sizes[a] for a in kept], dtype=dtype)
+    at = [slice(None)] * len(sizes)
+    for cfg in np.ndindex(*out.shape[: len(fixed)]):
+        for a, c in zip(fixed, cfg):
+            at[a] = slice(c, c + 1)
+        block = [(arr[tuple(at[a] for a in axes)], axes) for arr, axes in pending]
+        summed = _product(block, range(len(sizes)), block_sizes).sum(axis=drop)
+        out[cfg] = summed.reshape(out.shape[len(fixed) :])
+    return out
 
 
 def _spliced_factors(
@@ -308,18 +366,6 @@ def ci_deviation(
     px = pxy.sum(axis=2)
     py = pxy.sum(axis=1)
     return float(np.abs(pxy - px[:, :, None] * py[:, None, :]).max(initial=0.0))
-
-
-def ci_holds(
-    j: JointTable,
-    x: Iterable[str],
-    y: Iterable[str],
-    z: Iterable[str] = (),
-    tol: float = 1e-9,
-) -> bool:
-    """Numeric conditional independence: the factorisation gap stays within
-    ``tol`` for every conditioning configuration of positive probability."""
-    return ci_deviation(j, x, y, z) <= tol
 
 
 @dataclass(frozen=True)

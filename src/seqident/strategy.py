@@ -13,7 +13,6 @@ from .diagram import (
     StagedDiagram,
     StrategyParentSpec,
     kernel_parent_order,
-    parent_spec,
     unconditional_spec,
 )
 from .errors import (
@@ -164,17 +163,6 @@ def make_stochastic(
         if got != want:
             raise MissingConfiguration(f"{a}: kernel shape {got}, expected {want}")
     return _make(d, spec, kernels, name)
-
-
-def from_observational(model, d: StagedDiagram, name: str = "obs") -> Strategy:
-    """Render the observational policy of a model as a stochastic strategy.
-
-    Only possible when no action has hidden parents.
-    """
-    mapping = {a: d.pa_o(a) for a in d.actions}
-    spec = parent_spec(d, mapping)  # raises if any parent is hidden
-    kernels = {a: model.cpts[a] for a in d.actions}
-    return make_stochastic(d, model.states, spec, kernels, name)
 
 
 def kernel(s: Strategy, action: str, history: Mapping[str, int]) -> np.ndarray:

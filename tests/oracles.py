@@ -22,9 +22,12 @@ arrays, and the array code must match them bit for bit.  Then come the decomposi
 splice check as they ran on dense joints, before those queries summed
 variables out one at a time.  Then comes the dense product as it was
 built before every table went through ``prob._contract``; the dense
-builders must reproduce it bit for bit.  Last are two dense-table helpers
+builders must reproduce it bit for bit.  Then come two dense-table helpers
 that only the tests use: conditioning a joint on evidence, and the joint
-with the regime indicator that ``dsep --numeric`` sums down.
+with the regime indicator that ``dsep --numeric`` sums down.  Last are four
+helpers the package itself never calls: a numeric conditional-independence
+test, a random plain DAG with its parameterisation, and a model's own action
+kernels as a strategy.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ from seqident import (
     evaluate_g_recursion,
     kernel,
     make_deterministic,
+    make_stochastic,
+    parent_spec,
     staged_diagram,
 )
 from seqident.diagram import VarKind, kernel_parent_order
@@ -63,6 +68,7 @@ from seqident.prob import (
     JointTable,
     PositivityIssue,
     _regime_mixture,
+    ci_deviation,
     joint,
     marginal,
     mixed_joint_pi,
@@ -645,3 +651,54 @@ def condition(
     if total <= 0.0:
         raise ZeroProbabilityEvidence(dict(evidence))
     return JointTable(labels=out.labels, table=out.table / total)
+
+
+def ci_holds(
+    j: JointTable,
+    x: Iterable[str],
+    y: Iterable[str],
+    z: Iterable[str] = (),
+    tol: float = 1e-9,
+) -> bool:
+    """Numeric conditional independence: the factorisation gap stays within
+    ``tol`` for every conditioning configuration of positive probability."""
+    return ci_deviation(j, x, y, z) <= tol
+
+
+def random_dag(rng: np.random.Generator, max_nodes: int = 7, p_edge: float = 0.5) -> Dag:
+    n = int(rng.integers(2, max_nodes + 1))
+    labels = [f"v{i}" for i in range(n)]
+    edges = [
+        (labels[a], labels[b])
+        for a in range(n)
+        for b in range(a + 1, n)
+        if rng.random() < p_edge
+    ]
+    return build_dag(labels, edges)
+
+
+def random_dag_parameterization(
+    rng: np.random.Generator,
+    dag: Dag,
+    state_choices: tuple[int, ...] = (2, 3),
+    floor: float = 0.05,
+) -> tuple[dict[str, int], dict[str, np.ndarray]]:
+    """States and CPTs for a plain DAG, interior probabilities only."""
+    states = {lab: int(rng.choice(state_choices)) for lab in dag.labels}
+    cpts = {}
+    for nid, lab in enumerate(dag.labels):
+        shape = tuple(states[dag.labels[p]] for p in dag.parents[nid]) + (states[lab],)
+        raw = rng.uniform(floor, 1.0, size=shape)
+        cpts[lab] = raw / raw.sum(axis=-1, keepdims=True)
+    return states, cpts
+
+
+def from_observational(model: DiscreteModel, d: StagedDiagram, name: str = "obs") -> Strategy:
+    """Render the observational policy of a model as a stochastic strategy.
+
+    Only possible when no action has hidden parents.
+    """
+    mapping = {a: d.pa_o(a) for a in d.actions}
+    spec = parent_spec(d, mapping)  # raises if any parent is hidden
+    kernels = {a: model.cpts[a] for a in d.actions}
+    return make_stochastic(d, model.states, spec, kernels, name)

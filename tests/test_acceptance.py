@@ -13,7 +13,6 @@ from seqident import (
     check_general,
     check_pearl_robins,
     check_simple_stability,
-    ci_holds,
     d_separated,
     dag_joint,
     decide_identifiability,
@@ -34,8 +33,6 @@ from seqident import (
     unconditional_spec,
 )
 from seqident.fuzz import (
-    random_dag,
-    random_dag_parameterization,
     random_model,
     random_parent_spec,
     random_staged_diagram,
@@ -44,7 +41,7 @@ from seqident.fuzz import (
 )
 from seqident.prob import check_positivity
 
-from .oracles import path_d_separated
+from .oracles import ci_holds, path_d_separated, random_dag, random_dag_parameterization
 
 
 def _report(name: str, detail: str, t0: float) -> None:

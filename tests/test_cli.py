@@ -79,6 +79,15 @@ class TestValidate:
         assert code == 2 and out == ""
         assert err == "line 2, col 13: not UTF-8 text\n"
 
+    @pytest.mark.parametrize("brk", [b"\n", b"\r\n", b"\r"])
+    def test_invalid_utf8_line_counts_as_the_parser(self, capsys, tmp_path, brk):
+        # U+0085 breaks a line for str.splitlines, not for the parser
+        p = tmp_path / "latin1.sid"
+        p.write_bytes(brk.join([b"stages 1", "# \u0085 note".encode(), b"var \xff"]))
+        code, out, err = run(capsys, "validate", str(p))
+        assert code == 2 and out == ""
+        assert err == "line 3, col 5: not UTF-8 text\n"
+
     def test_superscript_stage_count_is_located(self, capsys, tmp_path):
         p = tmp_path / "superscript.sid"
         p.write_text("stages \u00b2\nvar A1 action stage=1\nvar Y outcome stage=2\n")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from seqident import (
     parse_model_file,
     staged_diagram,
 )
+from seqident import prob
 from seqident.errors import PositivityViolation, SeqidentError
 from seqident.fuzz import (
     random_model,
@@ -31,9 +33,8 @@ from seqident.fuzz import (
     random_staged_diagram,
     random_strategy,
 )
-from seqident.strategy import from_observational
 
-from .oracles import brute_conditional, brute_joint
+from .oracles import brute_conditional, brute_joint, from_observational
 
 
 class TestObservationalConditionals:
@@ -345,3 +346,34 @@ def test_recursion_outputs_match_stored_dump(models_dir):
     assert sorted(got) == sorted(want)
     for name in got:
         assert got[name] == want[name], name
+
+
+def test_recursion_dump_with_one_cell_blocks(models_dir, monkeypatch):
+    # the observed law summed one observed configuration at a time keeps every bit
+    monkeypatch.setattr(prob, "BLOCK_CELLS", 1)
+    test_recursion_outputs_match_stored_dump(models_dir)
+
+
+def test_observational_conditionals_memory_ceiling():
+    # four stages of a ternary hidden variable, covariate and action, and a
+    # ternary outcome: 3**13 = 1.59M cells, whose dense joint is 12.2 MiB
+    rng = np.random.default_rng(101)
+    variables = [("Y", "outcome", 5)]
+    for i in range(1, 5):
+        variables += [(f"U{i}", "hidden", i), (f"L{i}", "covariate", i), (f"A{i}", "action", i)]
+    labels = staged_diagram(4, variables, []).labels
+    edges = []
+    for k, b in enumerate(labels[1:], start=1):
+        for j in rng.choice(k, size=min(k, 3), replace=False):
+            edges.append((labels[int(j)], b))
+    d = staged_diagram(4, variables, edges)
+    m = random_model(rng, d, state_choices=(3,))
+    assert np.prod(list(m.states.values())) == 3**13
+    tracemalloc.start()
+    try:
+        oc = observational_conditionals(m, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MiB"
+    assert oc.tables[-1].shape == (3,) * 9

@@ -19,6 +19,7 @@ import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from seqident import prob
 from seqident.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,6 +70,12 @@ def test_cli_outputs_match_golden(monkeypatch):
     assert [r["argv"] for r in want] == _cases(), "case list changed; record the outputs again"
     moved = [(r, got) for r in want if (got := _run(r["argv"])) != r]
     assert not moved, f"{len(moved)} runs differ; first, recorded then now: {moved[0]}"
+
+
+def test_cli_outputs_match_golden_with_one_cell_blocks(monkeypatch):
+    # the observed law summed one observed configuration at a time keeps every bit
+    monkeypatch.setattr(prob, "BLOCK_CELLS", 1)
+    test_cli_outputs_match_golden(monkeypatch)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from seqident import (
     ancestors,
     augment_with_regime,
     build_dag,
-    ci_holds,
     d_separated,
     dag_joint,
     full_history_spec,
@@ -27,17 +26,18 @@ from seqident.errors import (
     UnknownNode,
 )
 from seqident.fuzz import (
-    random_dag,
-    random_dag_parameterization,
     random_parent_spec,
     random_staged_diagram,
 )
 
 from .oracles import (
+    ci_holds,
     first_cycle,
     kahn_order,
     moral_graph_reference,
     path_d_separated,
+    random_dag,
+    random_dag_parameterization,
     separation_witness_reference,
 )
 

@@ -166,6 +166,33 @@ class TestParse:
             parse_model_file(text)
         assert len(exc.value.issues) >= 2
 
+    @pytest.mark.parametrize(
+        "old, new, col, message",
+        [
+            ("cpt L1 | - : 0.3 0.7", "cpt L1 A1 | - : 0.3 0.7", 8, "'A1' before '|'"),
+            ("strategy go A1 | L1 : 1 0", "strategy go A1 L1 | L1 : 1 0", 16, "'L1' before '|'"),
+            ("loss : 0 1", "loss junk : 0 1", 6, "'junk' before ':'"),
+        ],
+    )
+    def test_stray_token_is_located(self, old, new, col, message):
+        text = FULL.replace(old, new, 1)
+        with pytest.raises(ModelFileError) as exc:
+            parse_model_file(text)
+        line = text.splitlines().index(new) + 1
+        assert [str(i) for i in exc.value.issues] == [
+            f"line {line}, col {col}: unexpected token {message}"
+        ]
+
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"])
+    def test_lines_break_only_at_newlines(self, brk):
+        # U+0085, a break for str.splitlines, stays inside the comment
+        text = "stages 1\n# \x85 note\nvar A1 actoin stage=1\n".replace("\n", brk)
+        with pytest.raises(ModelFileError) as exc:
+            parse_model_file(text)
+        (issue,) = exc.value.issues
+        assert str(issue).startswith("line 3, col 8: unknown kind 'actoin'")
+        assert parse_model_file(FULL.replace("\n", brk)).loss is not None
+
     def test_strategy_without_model_keeps_spec(self):
         text = GRAPH_ONLY + "strategy go A1 | L1 : 1 0\nstrategy go A1 | L1 : 0 1\n"
         pf = parse_model_file(text)

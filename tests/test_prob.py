@@ -13,7 +13,6 @@ from seqident import (
     VarKind,
     check_positivity,
     ci_deviation,
-    ci_holds,
     dag_joint,
     expectation,
     full_history_spec,
@@ -36,15 +35,12 @@ from seqident.graph import MAX_NODES
 from seqident.modelfile import ParsedModelFile
 from seqident.stability import check_theorem1_numeric
 from seqident.fuzz import (
-    random_dag,
-    random_dag_parameterization,
     random_loss,
     random_model,
     random_parent_spec,
     random_staged_diagram,
     random_strategy,
 )
-from seqident.strategy import from_observational
 
 from .oracles import (
     ZeroProbabilityEvidence,
@@ -52,10 +48,14 @@ from .oracles import (
     brute_expectation,
     brute_joint,
     ci_deviation_reference,
+    ci_holds,
     condition,
     decomposition_reference,
+    from_observational,
     positivity_issues_reference,
     product_joint_reference,
+    random_dag,
+    random_dag_parameterization,
     regime_mixture_joint,
     splice_parts,
     splice_reference,
@@ -642,3 +642,65 @@ def test_dense_builders_exact_on_fractions():
                         parents, kernel = d.parents[v.label], m.cpts[v.label]
                     want *= kernel[tuple(env[q] for q in parents) + (env[v.label],)]
                 assert table[cfg] == want, (split, cfg)
+
+
+def _layered_diagram(rng):
+    """1-3 stages, each with 0-2 hidden variables, 0-2 covariates and an action,
+    random edges forward in the canonical order."""
+    n = int(rng.integers(1, 4))
+    variables = []
+    for i in range(1, n + 1):
+        variables += [(f"U{i}{j}", "hidden", i) for j in range(int(rng.integers(0, 3)))]
+        variables += [(f"L{i}{j}", "covariate", i) for j in range(int(rng.integers(0, 3)))]
+        variables.append((f"A{i}", "action", i))
+    variables.append(("Y", "outcome", n + 1))
+    labels = staged_diagram(n, variables, []).labels
+    edges = [(a, b) for k, a in enumerate(labels) for b in labels[k + 1 :] if rng.random() < 0.5]
+    return staged_diagram(n, variables, edges)
+
+
+def _observed_law(m: DiscreteModel, d) -> np.ndarray:
+    factors = prob._spliced_factors(m, d, None, d.n_stages)
+    return prob._blocked_marginal(d.labels, m.states, factors, d.observed_labels)
+
+
+BLOCK_SIZES = (1, 3, 17, 256, 2**30)
+
+
+def test_blocked_observed_law_is_the_dense_marginal(monkeypatch):
+    # the observed law summed block by block is the dense joint's marginal bit
+    # for bit, from one-cell blocks to a single block; one-state variables
+    # included, so the last axis with more than one state is sometimes hidden
+    rng = np.random.default_rng(89)
+    hidden_last = 0
+    for _ in range(400):
+        d = _layered_diagram(rng)
+        m = random_model(rng, d, state_choices=(1, 2, 3))
+        if min(m.states.values()) > 1 and rng.random() < 0.5:
+            m = _zero_columns(rng, m, d)
+        want = marginal(joint(m, d), d.observed_labels).table
+        for cells in BLOCK_SIZES:
+            monkeypatch.setattr(prob, "BLOCK_CELLS", cells)
+            assert _bitwise(_observed_law(m, d), want), (cells, d.labels, m.states)
+        last = max((v for v in d.labels if m.states[v] > 1), key=d.position.get, default=None)
+        hidden_last += last is not None and last not in d.observed_labels
+    assert hidden_last > 5
+
+
+def test_blocked_observed_law_exact_on_fractions(monkeypatch):
+    rng = np.random.default_rng(97)
+    for _ in range(20):
+        d = random_staged_diagram(rng, max_stages=2, max_extra=2)
+        m = _fraction_model(rng, d)
+        want = marginal(joint(m, d), d.observed_labels).table
+        for cells in BLOCK_SIZES:
+            monkeypatch.setattr(prob, "BLOCK_CELLS", cells)
+            got = _observed_law(m, d)
+            assert got.dtype == object and all(type(p) is Fraction for p in got.flat)
+            assert got.shape == want.shape and got.tolist() == want.tolist()
+
+
+def test_blocked_observed_law_keeps_the_cap():
+    m, d, _, _ = _chain_model(over=True)
+    with pytest.raises(StateSpaceTooLarge, match=f"cells exceed the cap of {prob.MAX_CELLS}"):
+        _observed_law(m, d)

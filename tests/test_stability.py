@@ -163,7 +163,7 @@ class TestTheorem1Numeric:
         assert not r.entries[0].passed
 
     def test_observational_strategy_trivially_passes(self, fig2b, fig2b_model):
-        from seqident.strategy import from_observational
+        from .oracles import from_observational
 
         s = from_observational(fig2b_model, fig2b)
         assert check_theorem1_numeric(fig2b_model, fig2b, s, tol=1e-12).passed
