@@ -6,8 +6,9 @@ all edges must point forward in that order, which makes acyclicity hold by
 construction.  Regime augmentation adds the decision node ``sigma`` with an
 arrow into every action.
 Positions in that order are the node ids of every graph built from the
-diagram's parent ids.  It sorts by stage, so the labels of one kind at a
-range of stages are a slice of a per-kind index.
+diagram's parent masks, and each derived graph copies those masks and edits
+only the actions' entries.  The order sorts by stage, so the labels of one
+kind at a range of stages are a slice of a per-kind index.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     StageOutOfRange,
     UnknownLabel,
 )
-from .graph import Dag, _check_size
+from .graph import Dag, _check_size, _ids
 
 REGIME = "sigma"
 
@@ -85,33 +86,33 @@ class StagedDiagram:
     @cached_property
     def dag(self) -> Dag:
         _check_size(self.labels)
-        return Dag(self.labels, self.parent_ids)
+        return Dag(self.labels, self.parent_masks)
 
     @cached_property
     def regime_dag(self) -> Dag:
         """The diagram plus the regime node, with one arrow into every action."""
-        r = len(self.vars)
-        parents = tuple(
-            ps + (r,) if v.kind is VarKind.ACTION else ps
-            for v, ps in zip(self.vars, self.parent_ids)
+        r = 1 << len(self.vars)
+        masks = tuple(
+            m | r if v.kind is VarKind.ACTION else m
+            for v, m in zip(self.vars, self.parent_masks)
         )
-        return Dag(self.labels + (REGIME,), parents + ((),))
+        return Dag(self.labels + (REGIME,), masks + (0,))
 
     @cached_property
-    def parent_ids(self) -> tuple[tuple[int, ...], ...]:
-        """Each variable's parents as ascending positions."""
+    def parent_masks(self) -> tuple[int, ...]:
+        """Each variable's parents as a bitmask over positions."""
         pos = self.position
-        out: list[list[int]] = [[] for _ in self.vars]
+        out = [0] * len(self.vars)
         for a, b in self.edges:
-            out[pos[b]].append(pos[a])
-        return tuple(tuple(sorted(ps)) for ps in out)
+            out[pos[b]] |= 1 << pos[a]
+        return tuple(out)
 
     @cached_property
     def parents(self) -> dict[str, tuple[str, ...]]:
         # parent lists in canonical order
         labels = self.labels
         return {
-            lab: tuple(labels[p] for p in ps) for lab, ps in zip(labels, self.parent_ids)
+            lab: tuple(labels[p] for p in _ids(m)) for lab, m in zip(labels, self.parent_masks)
         }
 
     @cached_property
@@ -301,10 +302,6 @@ class StrategyParentSpec:
                 return ps
         raise UnknownLabel(f"no parent set for action {action!r}")
 
-    @property
-    def actions(self) -> tuple[str, ...]:
-        return tuple(a for a, _ in self.parents)
-
 
 def parent_spec(d: StagedDiagram, mapping: Mapping[str, Iterable[str]]) -> StrategyParentSpec:
     """Validate and canonicalise a per-action parent mapping."""
@@ -388,18 +385,18 @@ def build_check_graph(d: StagedDiagram, spec: StrategyParentSpec, i: int) -> Dag
     if not 0 <= i <= d.n_stages:
         raise StageOutOfRange(f"stage {i} not in 0..{d.n_stages}")
     pos = d.position
-    parents = list(d.parent_ids)
+    masks = list(d.parent_masks)
     for k, v in enumerate(d.vars):
         if v.kind is not VarKind.ACTION or v.stage < i:
             continue
-        strategy = {pos[p] for p in spec.of(v.label)}
+        strategy = sum(1 << pos[p] for p in spec.of(v.label))
         if v.stage > i or i == 0:
-            parents[k] = tuple(sorted(strategy))
+            masks[k] = strategy
         else:
-            parents[k] = tuple(sorted(strategy.union(parents[k]))) + (len(d.vars),)
+            masks[k] |= strategy | 1 << len(d.vars)
     if i == 0:
-        return Dag(d.labels, tuple(parents))
-    return Dag(d.labels + (REGIME,), (*parents, ()))
+        return Dag(d.labels, tuple(masks))
+    return Dag(d.labels + (REGIME,), (*masks, 0))
 
 
 def build_pearl_robins_graph(
@@ -413,13 +410,12 @@ def build_pearl_robins_graph(
     """
     if not 1 <= i <= d.n_stages:
         raise StageOutOfRange(f"stage {i} not in 1..{d.n_stages}")
-    a_i = dprime.index.get(d.action_label(i))
-    later = {d.action_label(j): spec.of(d.action_label(j)) for j in range(i + 1, d.n_stages + 1)}
-    labels = dprime.labels
-    parents = []
-    for lab, ps in zip(labels, dprime.parents):
-        keep = later.get(lab)
-        parents.append(
-            tuple(p for p in ps if p != a_i and (keep is None or labels[p] in keep))
-        )
-    return Dag(labels, tuple(parents))
+    index = dprime.index
+    a_i = index.get(d.action_label(i))
+    cut = 0 if a_i is None else 1 << a_i
+    masks = [m & ~cut for m in dprime.parent_masks]
+    for j in range(i + 1, d.n_stages + 1):
+        a = d.action_label(j)
+        if a in index:
+            masks[index[a]] &= sum(1 << index[p] for p in spec.of(a) if p in index)
+    return Dag(dprime.labels, tuple(masks))

@@ -41,10 +41,6 @@ class StageOutOfRange(SeqidentError):
     pass
 
 
-class NoRegimeNode(SeqidentError):
-    pass
-
-
 class InvalidParentSpec(SeqidentError):
     pass
 

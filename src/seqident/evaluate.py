@@ -51,10 +51,6 @@ class ObservationalConditionals:
     tables: tuple[np.ndarray, ...]
     masks: tuple[np.ndarray, ...]
 
-    @property
-    def observed_order(self) -> tuple[str, ...]:
-        return self.hist_vars[-1] + self.block_vars[-1]
-
 
 @dataclass(eq=False)
 class EvaluationResult:
@@ -136,10 +132,12 @@ def _check_loss(k: LossFunction, outcome: str, n_states: int) -> None:
 
 
 def _loss_table(oc: ObservationalConditionals, k: LossFunction) -> np.ndarray:
-    """The loss broadcast over every observed history, as a fresh float table."""
+    """The loss as a float vector over the outcome's states, the last axis of
+    every observed history; the outcome conditionals broadcast against it.
+    It may be ``k.values`` itself, so callers must not write into it."""
     y = oc.block_vars[-1][0]  # the last block is the outcome
     _check_loss(k, y, oc.states[y])
-    return np.broadcast_to(k.values, tuple(oc.states[v] for v in oc.observed_order)).astype(float)
+    return np.asarray(k.values, dtype=float)
 
 
 def _backward(
@@ -190,7 +188,7 @@ def evaluate_g_recursion(
 ) -> EvaluationResult:
     """Backward recursion over the observational conditionals and the strategy.
 
-    Starts from the loss table broadcast over all observed histories and
+    Starts from the loss over the outcome, broadcast against its conditionals, and
     alternates averaging out the stage's covariate block (observational law)
     and the stage's action (strategy kernel) down to the empty history.
     """

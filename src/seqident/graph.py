@@ -10,9 +10,10 @@ neighbours of each node it reaches (parents, children inside the closure,
 and those children's other parents) and stops at the first node of the
 first set.  When such a path exists it is returned as a witness.
 
-A graph is its labels and each node's parent ids, from which edges,
-children and masks are derived.  ``build_dag`` checks label edge lists; the
-graphs of ``seqident.diagram`` are built from its parent ids directly.
+A graph is its labels and each node's parent bitmask; parent ids, edges,
+children and child masks are derived from the masks.  ``build_dag`` checks
+label edge lists; the graphs of ``seqident.diagram`` are edits of the
+diagram's parent masks.
 """
 
 from __future__ import annotations
@@ -39,21 +40,21 @@ MAX_NODES = 24
 
 @dataclass(frozen=True)
 class Dag:
-    """Immutable DAG over labelled nodes; node ids are dense 0..n-1, and each
-    node's parents are ids in ascending order.  There is room for the regime
-    node beside a diagram's ``MAX_NODES`` variables.  An edge to a higher id,
-    or out of a parentless node, cannot close a cycle; if any edge is
-    neither, the depth-first order runs and raises CycleDetected."""
+    """Immutable DAG over labelled nodes; node ids are dense 0..n-1, and bit p
+    of ``parent_masks[v]`` is set when p is a parent of v.  There is room for
+    the regime node beside a diagram's ``MAX_NODES`` variables.  An edge to a
+    higher id, or out of a parentless node, cannot close a cycle; if any edge
+    is neither, the depth-first order runs and raises CycleDetected."""
 
     labels: tuple[str, ...]
-    parents: tuple[tuple[int, ...], ...]
+    parent_masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
         _check_size(self.labels, MAX_NODES + 1)
-        parents = self.parents
-        for v, ps in enumerate(parents):
-            # ascending parents: any edge against the id order comes last
-            if ps and ps[-1] >= v and any(parents[p] for p in ps if p >= v):
+        pm = self.parent_masks
+        for v, mask in enumerate(pm):
+            late = mask >> v << v  # parents of equal or higher id
+            if late and any(pm[p] for p in _ids(late)):
                 self.topological_order  # raises CycleDetected
                 break
 
@@ -62,34 +63,28 @@ class Dag:
         return {lab: i for i, lab in enumerate(self.labels)}
 
     @cached_property
+    def parents(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's parent ids, ascending."""
+        return tuple(tuple(_ids(mask)) for mask in self.parent_masks)
+
+    @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((p, v) for v, ps in enumerate(self.parents) for p in ps)
 
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in self.labels]
-        for v, ps in enumerate(self.parents):
-            for p in ps:
-                out[p].append(v)
-        return tuple(map(tuple, out))
-
-    @cached_property
-    def parent_masks(self) -> tuple[int, ...]:
-        out = []
-        for ps in self.parents:
-            mask = 0
-            for p in ps:
-                mask |= 1 << p
-            out.append(mask)
-        return tuple(out)
+        return tuple(tuple(_ids(mask)) for mask in self.child_masks)
 
     @cached_property
     def child_masks(self) -> tuple[int, ...]:
         out = [0] * len(self.labels)
-        for v, ps in enumerate(self.parents):
+        for v, mask in enumerate(self.parent_masks):
             bit = 1 << v
-            for p in ps:
-                out[p] |= bit
+            # the walk of _ids inlined: one call and list per node doubled this
+            while mask:
+                low = mask & -mask
+                out[low.bit_length() - 1] |= bit
+                mask ^= low
         return tuple(out)
 
     @cached_property
@@ -161,17 +156,18 @@ def build_dag(labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> Dag:
         raise UnknownLabel(f"duplicate labels: {', '.join(dupes)}")
     _check_size(labels)
     index = {lab: i for i, lab in enumerate(labels)}
-    parents: list[set[int]] = [set() for _ in labels]
+    masks = [0] * len(labels)
     for a, b in edges:
         if a not in index or b not in index:
             missing = a if a not in index else b
             raise UnknownLabel(f"edge endpoint {missing!r} is not a declared node")
-        if index[a] in parents[index[b]]:
+        bit = 1 << index[a]
+        if masks[index[b]] & bit:
             raise DuplicateEdge(f"duplicate edge {a} -> {b}")
         if a == b:
             raise CycleDetected((a,))
-        parents[index[b]].add(index[a])
-    return Dag(labels, tuple(tuple(sorted(ps)) for ps in parents))
+        masks[index[b]] |= bit
+    return Dag(labels, tuple(masks))
 
 
 def _ancestor_mask(parent_masks: Sequence[int], seed: int) -> int:

@@ -58,7 +58,6 @@ from seqident import (
 )
 from seqident.diagram import VarKind, kernel_parent_order
 from seqident.errors import (
-    NoRegimeNode,
     OverlappingSets,
     SeqidentError,
     StageOutOfRange,
@@ -173,6 +172,10 @@ def separation_witness_reference(g: Dag, x, y, z) -> tuple[str, ...] | None:
             prev[nb] = node
             queue.append(nb)
     return None
+
+
+class NoRegimeNode(SeqidentError):
+    """A graph without the regime node was passed to ``strip_regime``."""
 
 
 def strip_regime(g: Dag) -> Dag:

@@ -156,6 +156,11 @@ class TestDsep:
         code, _, err = run(capsys, "dsep", str(models_dir / "fig2a.sid"), "Q", "/", "Y", "/")
         assert code == 2
 
+    def test_query_without_two_slashes_usage_error(self, capsys, models_dir):
+        code, out, err = run(capsys, "dsep", str(models_dir / "fig2a.sid"), "L2", "/", "sigma")
+        assert code == 2 and out == ""
+        assert err == "query must be '<x..> / <y..> / <z..>'\n"
+
     @pytest.mark.parametrize(
         "tol, line",
         [
@@ -196,6 +201,28 @@ class TestCheck:
     def test_all_not_guaranteed(self, capsys, models_dir):
         code, out, _ = run(capsys, "check", "--all", str(models_dir / "fig2a.sid"))
         assert code == 1 and "verdict: NotGuaranteed" in out
+
+    def test_extended_alone(self, capsys, models_dir):
+        code, out, err = run(capsys, "check", "--extended", str(models_dir / "fig2b.sid"))
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == "[extended-stability] PASS"
+
+    def test_pearl_robins_alone(self, capsys, models_dir):
+        code, out, err = run(capsys, "check", "--pearl-robins", str(models_dir / "fig2a.sid"))
+        assert code == 1 and err == ""
+        assert out.splitlines()[:3] == [
+            "[pearl-robins] FAIL",
+            "  i=1: Y _||_ A1 : FAIL",
+            "    witness: A1 - U1 - L2 - A2 - Y",
+        ]
+
+    def test_spec_file_without_strategy_exit_two(self, capsys, models_dir, tmp_path):
+        spec = _without_sections(models_dir, tmp_path, {"strategy"})
+        code, out, err = run(
+            capsys, "check", "--general", "--spec", str(spec), str(models_dir / "fig2b.sid")
+        )
+        assert code == 2 and out == ""
+        assert err == f"spec file {str(spec)!r} declares no strategy\n"
 
     def test_spec_from_file(self, capsys, models_dir):
         # the bite file's 'match' strategy conditions on (A1, L2)
@@ -598,6 +625,48 @@ def _without_sections(models_dir, tmp_path, drop) -> Path:
     p = tmp_path / "partial.sid"
     p.write_text("\n".join(ln for ln in lines if ln.split(" ", 1)[0] not in drop) + "\n")
     return p
+
+
+def _outcome_one_stage_late(models_dir, tmp_path) -> Path:
+    """fig2b.sid with the outcome declared at stage 4 of a two-stage diagram."""
+    p = tmp_path / "late-outcome.sid"
+    text = (models_dir / "fig2b.sid").read_text()
+    p.write_text(text.replace("var Y outcome stage=3", "var Y outcome stage=4"))
+    return p
+
+
+class TestInvalidDiagram:
+    LINE = "BadStageOrder: outcome Y must sit at stage 3, found stage 4"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dsep", "L2", "/", "Y", "/", "A1"),
+            ("check", "--simple"),
+            ("positivity", "--strategy", "threshold"),
+            ("evaluate", "--strategy", "threshold"),
+            ("optimize",),
+        ],
+    )
+    def test_commands_exit_one_on_stderr(self, capsys, models_dir, tmp_path, argv):
+        p = _outcome_one_stage_late(models_dir, tmp_path)
+        code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert code == 1 and out == ""
+        assert err == self.LINE + "\n"
+
+    def test_report_prints_validation(self, capsys, models_dir, tmp_path):
+        p = str(_outcome_one_stage_late(models_dir, tmp_path))
+        code, out, err = run(capsys, "report", p)
+        assert code == 1 and err == ""
+        assert out == self.LINE + "\n"
+        code, out, err = run(capsys, "report", p, "--format", "json")
+        assert code == 1 and err == ""
+        assert json.loads(out) == {
+            "file": p,
+            "validation": [
+                {"code": "BadStageOrder", "message": self.LINE.split(": ", 1)[1]}
+            ],
+        }
 
 
 class TestUsage:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqident import (
+    Dag,
     ancestors,
     augment_with_regime,
     build_dag,
@@ -29,6 +30,7 @@ from seqident.fuzz import (
     random_parent_spec,
     random_staged_diagram,
 )
+from seqident.graph import MAX_NODES
 
 from .oracles import (
     ci_holds,
@@ -343,6 +345,27 @@ def _dag_from_ids(rng, n: int, edges):
     listed = sorted(edges)
     listed = [listed[k] for k in rng.permutation(len(listed))]
     return build_dag(labels, [(labels[a], labels[b]) for a, b in listed])
+
+
+def test_masks_derive_parents_children_and_edges_on_random_dags():
+    # every derived view checked against the edge list alone, up to the 25
+    # nodes of a diagram at the node cap with its regime node
+    rng = np.random.default_rng(19)
+    sizes = Counter()
+    for k in range(300):
+        n = MAX_NODES + 1 if k % 4 == 0 else int(rng.integers(1, MAX_NODES + 1))
+        edges, _ = _forward_edges(rng, n, rng.uniform(0.05, 0.5))
+        labels = tuple(f"v{i}" for i in range(n))
+        g = Dag(labels, tuple(sum(1 << a for a, b in edges if b == v) for v in range(n)))
+        if n <= MAX_NODES:
+            assert _dag_from_ids(rng, n, edges) == g
+        assert list(g.edge_labels()) == sorted((labels[a], labels[b]) for a, b in edges)
+        for v in range(n):
+            assert g.parents[v] == tuple(sorted(a for a, b in edges if b == v))
+            assert g.children[v] == tuple(c for c in range(n) if v in g.parents[c])
+            assert g.child_masks[v] == sum(1 << c for c in g.children[v])
+        sizes[n] += 1
+    assert sizes[MAX_NODES + 1] == 75 and len(sizes) >= 15
 
 
 def _matches_references(g, x, y, z):
