@@ -44,7 +44,8 @@ class Dag:
     of ``parent_masks[v]`` is set when p is a parent of v.  There is room for
     the regime node beside a diagram's ``MAX_NODES`` variables.  An edge to a
     higher id, or out of a parentless node, cannot close a cycle; if any edge
-    is neither, the depth-first order runs and raises CycleDetected."""
+    is neither, the depth-first order runs and raises CycleDetected.  A mask
+    per label, each with bits only below the node count, or UnknownNode."""
 
     labels: tuple[str, ...]
     parent_masks: tuple[int, ...]
@@ -52,11 +53,23 @@ class Dag:
     def __post_init__(self) -> None:
         _check_size(self.labels, MAX_NODES + 1)
         pm = self.parent_masks
+        n = len(self.labels)
+        if len(pm) != n:
+            raise UnknownNode(
+                f"{len(pm)} parent masks for {n} nodes"
+                + (f"; node {self.labels[len(pm)]!r} has none" if len(pm) < n else "")
+            )
+        cyclic = False
         for v, mask in enumerate(pm):
             late = mask >> v << v  # parents of equal or higher id
-            if late and any(pm[p] for p in _ids(late)):
-                self.topological_order  # raises CycleDetected
-                break
+            if late:
+                if mask >> n:  # negative masks too
+                    raise UnknownNode(
+                        f"parent mask {mask} of node {self.labels[v]!r} sets a bit outside ids 0..{n - 1}"
+                    )
+                cyclic = cyclic or any(pm[p] for p in _ids(late))
+        if cyclic:
+            self.topological_order  # raises CycleDetected
 
     @cached_property
     def index(self) -> dict[str, int]:

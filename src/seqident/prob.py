@@ -15,16 +15,20 @@ The oracle-side queries (``evaluate_oracle``, ``evaluate_decomposition``,
 ``check_positivity``, ``check_theorem1_numeric`` and ``dsep --numeric``)
 keep a few variables.  The dense builders (``joint``, ``mixed_joint_pi``
 and ``dag_joint``) keep every variable, so their table is the plain
-product.  ``_blocked_marginal`` builds that plain product one block of
-cells at a time and sums each block down, so the observed law that
-``observational_conditionals`` reads is bitwise the dense joint's marginal
-without a table over every variable.
+product.  ``_blocked_marginal`` gives the observed law that
+``observational_conditionals`` reads, bitwise the dense joint's marginal
+without a table over every variable.  It grows the product factor by
+factor in a hidden-major layout (the hidden axes lead, the kept ones follow
+in reverse position order), so the sum over the leading hidden axes adds
+in the dense sum's order; blocks fix the latest kept axes and share the
+product of the factors before them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -101,6 +105,11 @@ class ModelIssue:
     message: str
 
 
+def _is_probability(p: object) -> bool:
+    """Whether an object-array entry is a real number in [0, inf)."""
+    return isinstance(p, numbers.Real) and 0 <= p < math.inf
+
+
 def validate_model(m: DiscreteModel, d: StagedDiagram) -> tuple[ModelIssue, ...]:
     """Shape, entry-range, normalisation, and inert-parent checks for every CPT."""
     issues: list[ModelIssue] = []
@@ -124,22 +133,24 @@ def validate_model(m: DiscreteModel, d: StagedDiagram) -> tuple[ModelIssue, ...]
                 )
             )
             continue
-        bad = np.argwhere(~np.isfinite(cpt) | (cpt < 0.0))
-        if len(bad):
-            cell = tuple(int(c) for c in bad[0])
-            msg = f"entry {cell} is {float(cpt[cell])!r}, not a probability"
+        exact = cpt.dtype == object
+        if exact:
+            cell = next((c for c in np.ndindex(cpt.shape) if not _is_probability(cpt[c])), None)
+        else:
+            bad = np.argwhere(~np.isfinite(cpt) | (cpt < 0.0))
+            cell = tuple(int(c) for c in bad[0]) if len(bad) else None
+        if cell is not None:
+            msg = f"entry {cell} is {cpt[cell] if exact else float(cpt[cell])!r}, not a probability"
             issues.append(ModelIssue("BadProbability", lab, msg))
             continue
-        sums = cpt.sum(axis=-1)
-        off = np.abs(sums - 1.0)
-        if off.size and off.max() > ROW_SUM_TOL:
-            row = np.unravel_index(int(off.argmax()), off.shape) if off.ndim else ()
+        sums = np.asarray(cpt.sum(axis=-1))
+        # exact rows must sum to exactly one
+        off = (sums != 1) if exact else np.abs(sums - 1.0)
+        if off.size and off.max() > (0 if exact else ROW_SUM_TOL):
+            row = np.unravel_index(int(off.argmax()), off.shape)
+            total = sums[row] if exact else f"{float(sums[row]):.17g}"
             issues.append(
-                ModelIssue(
-                    "RowNotNormalized",
-                    lab,
-                    f"row {tuple(int(r) for r in row)} sums to {float(sums[row] if off.ndim else sums):.17g}",
-                )
+                ModelIssue("RowNotNormalized", lab, f"row {tuple(int(r) for r in row)} sums to {total}")
             )
         inert = d.inert_parents(lab) if v.kind is VarKind.ACTION else frozenset()
         for p in inert:
@@ -224,6 +235,46 @@ def _contract(
     return _product(pending, out, sizes)
 
 
+def _block_plan(
+    sizes: Sequence[int], kept: Sequence[int], scopes: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], int] | None:
+    """How ``_blocked_marginal`` splits the product over ``sizes``: the kept
+    axes each block fixes, latest first, and the number of leading factor
+    scopes that touch none of them, whose product every block shares.
+
+    None when nothing is dropped or when the last axis with more than one
+    state is dropped: the product is then summed in one piece.
+    """
+    inner = max((a for a, n in enumerate(sizes) if n > 1), default=-1)
+    if len(kept) == len(sizes) or inner not in kept:
+        return None
+    fixed: list[int] = []
+    cells = math.prod(sizes)
+    for a in reversed(kept):
+        if cells <= BLOCK_CELLS:
+            break
+        if a < inner and sizes[a] > 1:
+            fixed.append(a)
+            cells //= sizes[a]
+    shared = next((k for k, axes in enumerate(scopes) if set(axes) & set(fixed)), len(scopes))
+    return tuple(fixed), shared
+
+
+def _grow(table: np.ndarray, steps: list, cfg: tuple[int, ...]) -> np.ndarray:
+    """``table`` times each step's factor, with the block's fixed states
+    ``cfg`` picked out of it; ``table`` itself is never written."""
+    start = table
+    for arr, pick, at, shape, widen in steps:
+        f = _expand(arr[(*(cfg[j] if j >= 0 else slice(None) for j in pick), ...)], at, len(shape), shape)
+        if widen is None and table is not start:
+            table *= f
+        else:
+            # a C-order table of its own; numpy would return a 0-d object
+            # product as a bare Python object
+            table = np.multiply(table.reshape(widen or shape), f, out=np.empty(shape, table.dtype))
+    return table
+
+
 def _blocked_marginal(
     labels: Sequence[str],
     states: Mapping[str, int],
@@ -231,43 +282,60 @@ def _blocked_marginal(
     keep: Iterable[str],
 ) -> np.ndarray:
     """The product of ``factors`` summed down to ``keep``, axes in ``labels`` order:
-    bitwise ``_product`` over every label summed over the dropped axes, built
-    one block of about BLOCK_CELLS cells at a time.
+    bitwise ``_product`` over every label summed over the dropped axes,
+    without a table of more than about BLOCK_CELLS cells.
 
-    A block fixes one configuration of the leading kept axes.  Its cells are
-    ``_product``'s over the factors sliced to the block, and it is summed over
-    the dropped axes by the same numpy reduction.  That reduction adds the
-    dropped configurations to each kept cell in the same order as on the
-    whole product only while its innermost loop runs over a kept axis: a
-    block that fixed the last axis with more than one state would turn that
-    loop into numpy's pairwise sum.  So no block fixes that axis, and when it
-    is dropped the product is one block.  The cap is the product of all state
-    counts.  The factors' dtype is kept.
+    The product grows one factor at a time, in factor order, from
+    ``np.ones(())``, so each cell is multiplied in ``_product``'s order.  The
+    running table holds the axes seen so far: the dropped ones first in
+    position order, then the kept ones in reverse position order, so the
+    trailing axes are the earliest kept ones and each factor's broadcast
+    runs over long contiguous rows.  A factor that adds an axis widens the
+    table into a new C-order array; left to itself numpy would lay the
+    product out in its operands' memory order, and the sum below reads the
+    table in memory order.  A factor that adds no axis multiplies in place.
+
+    Summing the leading dropped axes then adds the dropped configurations to
+    each kept cell in lexicographic order, as numpy's reduction of the dense
+    product does while its innermost loop runs over a kept axis.  A loop over
+    one kept cell would become numpy's pairwise sum instead, so no block
+    fixes the last axis with more than one state, and when that axis is
+    dropped the product is ``_product``'s, summed in one piece.
+
+    A block fixes one configuration of the latest kept axes
+    (``_block_plan``).  The product of the factors before the first one that
+    touches a fixed axis is built once and shared by every block.  The cap is
+    the product of all state counts.  The factors' dtype is kept.
     """
     sizes = _capped_sizes(labels, states)
     kept = sorted(labels.index(lab) for lab in set(keep))
     drop = tuple(a for a in range(len(sizes)) if a not in kept)
-    pending = [(arr, axes) for axes, arr in factors]
-    inner = max((a for a, n in enumerate(sizes) if n > 1), default=-1)
-    fixed: list[int] = []
-    cells = math.prod(sizes)
-    for a in kept:
-        if cells <= BLOCK_CELLS or a >= inner or inner in drop:
-            break
-        fixed.append(a)
-        cells //= sizes[a]
-    if not fixed:
+    pending = [(arr, tuple(axes)) for axes, arr in factors]
+    plan = _block_plan(sizes, kept, [axes for _, axes in pending])
+    if plan is None:
         return _product(pending, range(len(sizes)), sizes).sum(axis=drop)
-    block_sizes = [1 if a in fixed else n for a, n in enumerate(sizes)]
+    fixed, shared = plan
+    free = [a for a in reversed(kept) if a not in fixed]
+    rank = {a: k for k, a in enumerate(drop + tuple(free))}
+    # per factor: its index with a block's fixed states in place, where its
+    # remaining axes go, and the running table's shape with the axes it adds
+    steps = []
+    seen: list[int] = []
+    for arr, axes in pending:
+        pick = [fixed.index(a) if a in fixed else -1 for a in axes]
+        rest = [a for a in axes if a not in fixed]
+        new = sorted({*seen, *rest}, key=rank.__getitem__)
+        shape = [sizes[a] for a in new]
+        widen = None if len(new) == len(seen) else [n if a in seen else 1 for a, n in zip(new, shape)]
+        steps.append((arr, pick, [new.index(a) for a in rest], shape, widen))
+        seen = new
     dtype = np.result_type(*(np.asarray(arr) for arr, _ in pending))
+    lead = tuple(range(len(drop)))
     out = np.empty([sizes[a] for a in kept], dtype=dtype)
-    at = [slice(None)] * len(sizes)
-    for cfg in np.ndindex(*out.shape[: len(fixed)]):
-        for a, c in zip(fixed, cfg):
-            at[a] = slice(c, c + 1)
-        block = [(arr[tuple(at[a] for a in axes)], axes) for arr, axes in pending]
-        summed = _product(block, range(len(sizes)), block_sizes).sum(axis=drop)
-        out[cfg] = summed.reshape(out.shape[len(fixed) :])
+    view = out.transpose([kept.index(a) for a in (*fixed, *free)])
+    head = _grow(np.ones((), dtype=dtype), steps[:shared], ())
+    for cfg in np.ndindex(*(sizes[a] for a in fixed)):
+        view[cfg] = _grow(head, steps[shared:], cfg).sum(axis=lead)
     return out
 
 

@@ -80,6 +80,36 @@ class TestBuildDag:
         assert list(g.topological_order) == [0, 1, 2]
 
 
+class TestDagMasks:
+    def test_parent_bit_past_the_last_node(self):
+        with pytest.raises(UnknownNode, match="node 'A' sets a bit outside ids 0..1"):
+            Dag(("A", "B"), (4, 0))
+
+    def test_negative_mask(self):
+        with pytest.raises(UnknownNode, match="node 'B'"):
+            Dag(("A", "B"), (0, -1))
+
+    def test_bad_mask_after_a_cycle(self):
+        # A <-> B would send the check to the depth-first order, which reads every mask
+        for mask in (8, -1):
+            with pytest.raises(UnknownNode, match="node 'C'"):
+                Dag(("A", "B", "C"), (2, 1, mask))
+        with pytest.raises(CycleDetected):
+            Dag(("A", "B", "C"), (2, 1, 0))
+
+    def test_one_mask_short(self):
+        with pytest.raises(UnknownNode, match="1 parent masks for 2 nodes; node 'B' has none"):
+            Dag(("A", "B"), (0,))
+
+    def test_one_mask_too_many(self):
+        with pytest.raises(UnknownNode, match="3 parent masks for 2 nodes"):
+            Dag(("A", "B"), (0, 1, 0))
+
+    def test_valid_masks(self):
+        g = Dag(("A", "B", "C"), (0, 1, 3))
+        assert g.parents == ((), (0,), (0, 1)) and g.edge_labels() == (("A", "B"), ("A", "C"), ("B", "C"))
+
+
 class TestAncestors:
     def test_chain_sink(self):
         g = build_dag(["A", "B", "C"], [("A", "B"), ("B", "C")])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -102,6 +103,31 @@ class TestValidateModel:
         m.cpts["A2"][1, 0] = [0.9, 0.1]
         issues = validate_model(m, dn)
         assert any(i.code == "InertParentInfluence" for i in issues)
+
+    def test_exact_models_pass(self):
+        rng = np.random.default_rng(103)
+        for _ in range(10):
+            d = random_staged_diagram(rng, max_stages=2, max_extra=2)
+            assert validate_model(_fraction_model(rng, d), d) == ()
+
+    def test_exact_rows_sum_to_exactly_one(self, fig2b):
+        rng = np.random.default_rng(107)
+        m = _fraction_model(rng, fig2b)
+        row = np.array([Fraction(1, 3), Fraction(2, 3) - Fraction(1, 10**18)], dtype=object)
+        m.cpts["L1"] = np.broadcast_to(row, m.cpts["L1"].shape).copy()
+        issues = validate_model(m, fig2b)
+        assert [(i.code, i.var) for i in issues] == [("RowNotNormalized", "L1")]
+        assert issues[0].message.endswith(f"sums to {1 - Fraction(1, 10**18)}")
+
+    @pytest.mark.parametrize("entry", [Fraction(-1, 2), "half", None, float("nan")])
+    def test_exact_bad_probability(self, fig2b, entry):
+        m = _fraction_model(np.random.default_rng(109), fig2b)
+        cpt = m.cpts["L2"].copy()
+        cpt[(0,) * (cpt.ndim - 1) + (1,)] = entry
+        m.cpts["L2"] = cpt
+        issues = validate_model(m, fig2b)
+        assert [(i.code, i.var) for i in issues] == [("BadProbability", "L2")]
+        assert f"is {entry!r}, not a probability" in issues[0].message
 
 
 class TestJoint:
@@ -704,3 +730,69 @@ def test_blocked_observed_law_keeps_the_cap():
     m, d, _, _ = _chain_model(over=True)
     with pytest.raises(StateSpaceTooLarge, match=f"cells exceed the cap of {prob.MAX_CELLS}"):
         _observed_law(m, d)
+
+
+def _model_with_states(rng, d, states: dict[str, int]) -> DiscreteModel:
+    cpts = {}
+    for v in d.vars:
+        raw = rng.uniform(0.05, 1.0, size=tuple(states[p] for p in d.parents[v.label]) + (states[v.label],))
+        cpts[v.label] = raw / raw.sum(axis=-1, keepdims=True)
+    return DiscreteModel(dict(states), cpts)
+
+
+def _plan(m: DiscreteModel, d):
+    sizes = [m.states[lab] for lab in d.labels]
+    kept = sorted(d.position[lab] for lab in d.observed_labels)
+    scopes = [axes for axes, _ in prob._spliced_factors(m, d, None, d.n_stages)]
+    return prob._block_plan(sizes, kept, scopes)
+
+
+def test_blocked_observed_law_at_real_size():
+    # four stages of a hidden variable, covariate and action plus the outcome,
+    # 3**12 to 3**13 cells, under the default block size: many blocks share a
+    # product of the leading factors; hidden variables drive actions in half
+    rng = np.random.default_rng(113)
+    variables = [("Y", "outcome", 5)]
+    for i in range(1, 5):
+        variables += [(f"U{i}", "hidden", i), (f"L{i}", "covariate", i), (f"A{i}", "action", i)]
+    labels = staged_diagram(4, variables, []).labels
+    for confounded in (True, False, True, False):
+        edges = []
+        for k, b in enumerate(labels):
+            parents = [
+                a for a in labels[:k]
+                if rng.random() < 0.4 and (confounded or not (a[0] == "U" and b[0] == "A"))
+            ]
+            edges += [(a, b) for a in rng.permutation(parents)[:4]]
+        d = staged_diagram(4, variables, edges)
+        binary = rng.choice([*labels, None])
+        m = _model_with_states(rng, d, {lab: 2 if lab == binary else 3 for lab in labels})
+        fixed, shared = _plan(m, d)
+        assert math.prod(m.states[d.labels[a]] for a in fixed) > 1 and shared > 0
+        want = marginal(joint(m, d), d.observed_labels).table
+        assert _bitwise(_observed_law(m, d), want), (confounded, d.edges, m.states)
+
+
+def test_blocked_observed_law_single_product_paths(monkeypatch):
+    # nothing dropped, or the last variable with more than one state hidden:
+    # one dense product at every block size, bitwise the dense marginal
+    rng = np.random.default_rng(127)
+    for hidden_last in (False, True) * 10:
+        n = int(rng.integers(1, 4))
+        variables = [("Y", "outcome", n + 1)]
+        for i in range(1, n + 1):
+            variables += [(f"L{i}", "covariate", i), (f"A{i}", "action", i)]
+            variables += [(f"U{i}", "hidden", i)] if hidden_last else []
+        labels = staged_diagram(n, variables, []).labels
+        edges = [(a, b) for k, a in enumerate(labels) for b in labels[k + 1 :] if rng.random() < 0.5]
+        d = staged_diagram(n, variables, edges)
+        states = {lab: int(rng.choice((2, 3))) for lab in labels}
+        if hidden_last:
+            # U_n is followed by L_n, A_n and Y only
+            states.update({f"L{n}": 1, f"A{n}": 1, "Y": 1})
+        m = _model_with_states(rng, d, states)
+        assert _plan(m, d) is None
+        want = marginal(joint(m, d), d.observed_labels).table
+        for cells in BLOCK_SIZES:
+            monkeypatch.setattr(prob, "BLOCK_CELLS", cells)
+            assert _bitwise(_observed_law(m, d), want), (cells, d.labels, m.states)
