@@ -262,10 +262,11 @@ def _block_plan(
 
 def _grow(table: np.ndarray, steps: list, cfg: tuple[int, ...]) -> np.ndarray:
     """``table`` times each step's factor, with the block's fixed states
-    ``cfg`` picked out of it; ``table`` itself is never written."""
+    ``cfg`` picked out of its leading axes; ``table`` itself is never written."""
     start = table
-    for arr, pick, at, shape, widen in steps:
-        f = _expand(arr[(*(cfg[j] if j >= 0 else slice(None) for j in pick), ...)], at, len(shape), shape)
+    for f, pick, shape, widen in steps:
+        if pick:
+            f = f[(*(cfg[j] for j in pick), ...)]
         if widen is None and table is not start:
             table *= f
         else:
@@ -317,17 +318,19 @@ def _blocked_marginal(
     fixed, shared = plan
     free = [a for a in reversed(kept) if a not in fixed]
     rank = {a: k for k, a in enumerate(drop + tuple(free))}
-    # per factor: its index with a block's fixed states in place, where its
-    # remaining axes go, and the running table's shape with the axes it adds
+    # per factor: the factor with its fixed axes leading and the others
+    # broadcast over the running table's layout, which fixed states a block
+    # picks, and the table's shape before and after the axes it adds
     steps = []
     seen: list[int] = []
     for arr, axes in pending:
-        pick = [fixed.index(a) if a in fixed else -1 for a in axes]
-        rest = [a for a in axes if a not in fixed]
-        new = sorted({*seen, *rest}, key=rank.__getitem__)
+        hold = [a for a in axes if a in fixed]
+        new = sorted({*seen, *axes} - {*fixed}, key=rank.__getitem__)
         shape = [sizes[a] for a in new]
+        full = [sizes[a] for a in hold] + shape
+        at = [hold.index(a) if a in fixed else len(hold) + new.index(a) for a in axes]
         widen = None if len(new) == len(seen) else [n if a in seen else 1 for a, n in zip(new, shape)]
-        steps.append((arr, pick, [new.index(a) for a in rest], shape, widen))
+        steps.append((_expand(arr, at, len(full), full), [fixed.index(a) for a in hold], shape, widen))
         seen = new
     dtype = np.result_type(*(np.asarray(arr) for arr, _ in pending))
     lead = tuple(range(len(drop)))
