@@ -319,8 +319,9 @@ def _blocked_marginal(
     free = [a for a in reversed(kept) if a not in fixed]
     rank = {a: k for k, a in enumerate(drop + tuple(free))}
     # per factor: the factor with its fixed axes leading and the others
-    # broadcast over the running table's layout, which fixed states a block
-    # picks, and the table's shape before and after the axes it adds
+    # broadcast over the running table's layout, which of a block's fixed
+    # states it picks, the table's shape after it, and the table's shape
+    # before it with ones for the axes it adds (None when it adds none)
     steps = []
     seen: list[int] = []
     for arr, axes in pending:
