@@ -44,8 +44,9 @@ class Dag:
     of ``parent_masks[v]`` is set when p is a parent of v.  There is room for
     the regime node beside a diagram's ``MAX_NODES`` variables.  An edge to a
     higher id, or out of a parentless node, cannot close a cycle; if any edge
-    is neither, the depth-first order runs and raises CycleDetected.  A mask
-    per label, each with bits only below the node count, or UnknownNode."""
+    is neither, the depth-first order runs and raises CycleDetected.  There
+    is one mask per label and no bit at or above the node count, or
+    UnknownNode is raised."""
 
     labels: tuple[str, ...]
     parent_masks: tuple[int, ...]
@@ -59,11 +60,12 @@ class Dag:
                 f"{len(pm)} parent masks for {n} nodes"
                 + (f"; node {self.labels[len(pm)]!r} has none" if len(pm) < n else "")
             )
+        # every mask is checked before the depth-first order reads them all
         cyclic = False
         for v, mask in enumerate(pm):
             late = mask >> v << v  # parents of equal or higher id
             if late:
-                if mask >> n:  # negative masks too
+                if mask >> n:  # a negative mask has every high bit set
                     raise UnknownNode(
                         f"parent mask {mask} of node {self.labels[v]!r} sets a bit outside ids 0..{n - 1}"
                     )

@@ -133,7 +133,9 @@ def validate_model(m: DiscreteModel, d: StagedDiagram) -> tuple[ModelIssue, ...]
                 )
             )
             continue
+        # exact (object) tables are checked exactly: no tolerance
         exact = cpt.dtype == object
+        tol = 0 if exact else ROW_SUM_TOL
         if exact:
             cell = next((c for c in np.ndindex(cpt.shape) if not _is_probability(cpt[c])), None)
         else:
@@ -144,9 +146,8 @@ def validate_model(m: DiscreteModel, d: StagedDiagram) -> tuple[ModelIssue, ...]
             issues.append(ModelIssue("BadProbability", lab, msg))
             continue
         sums = np.asarray(cpt.sum(axis=-1))
-        # exact rows must sum to exactly one
-        off = (sums != 1) if exact else np.abs(sums - 1.0)
-        if off.size and off.max() > (0 if exact else ROW_SUM_TOL):
+        off = np.asarray(np.abs(sums - 1))
+        if off.size and off.max() > tol:
             row = np.unravel_index(int(off.argmax()), off.shape)
             total = sums[row] if exact else f"{float(sums[row]):.17g}"
             issues.append(
@@ -156,7 +157,7 @@ def validate_model(m: DiscreteModel, d: StagedDiagram) -> tuple[ModelIssue, ...]
         for p in inert:
             ax = d.parents[lab].index(p)
             spread = np.abs(cpt - cpt.take([0], axis=ax)).max()
-            if spread > ROW_SUM_TOL:
+            if spread > tol:
                 issues.append(
                     ModelIssue(
                         "InertParentInfluence",

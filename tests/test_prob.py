@@ -119,6 +119,19 @@ class TestValidateModel:
         assert [(i.code, i.var) for i in issues] == [("RowNotNormalized", "L1")]
         assert issues[0].message.endswith(f"sums to {1 - Fraction(1, 10**18)}")
 
+    def test_exact_inert_parent_must_not_matter_at_all(self, fig2a):
+        from seqident import normalize_parents
+
+        dn = normalize_parents(fig2a, full_history_spec(fig2a))
+        m = _fraction_model(np.random.default_rng(113), dn)
+        # A2 conditions on (A1, L2) with A1 inert: one kernel for every A1 state
+        kernel = np.broadcast_to(m.cpts["A2"][:1], m.cpts["A2"].shape).copy()
+        m.cpts["A2"] = kernel
+        assert validate_model(m, dn) == ()
+        kernel[1, 0, :2] += [Fraction(1, 10**15), -Fraction(1, 10**15)]
+        issues = validate_model(m, dn)
+        assert [(i.code, i.var) for i in issues] == [("InertParentInfluence", "A2")]
+
     @pytest.mark.parametrize("entry", [Fraction(-1, 2), "half", None, float("nan")])
     def test_exact_bad_probability(self, fig2b, entry):
         m = _fraction_model(np.random.default_rng(109), fig2b)
