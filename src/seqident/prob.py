@@ -244,7 +244,7 @@ def _block_plan(
     scopes that touch none of them, whose product every block shares.
 
     None when nothing is dropped or when the last axis with more than one
-    state is dropped: the product is then summed in one piece.
+    state is not kept: the product is then summed in one piece.
     """
     inner = max((a for a, n in enumerate(sizes) if n > 1), default=-1)
     if len(kept) == len(sizes) or inner not in kept:
@@ -312,7 +312,7 @@ def _blocked_marginal(
     sizes = _capped_sizes(labels, states)
     kept = sorted(labels.index(lab) for lab in set(keep))
     drop = tuple(a for a in range(len(sizes)) if a not in kept)
-    pending = [(arr, tuple(axes)) for axes, arr in factors]
+    pending = [(arr, axes) for axes, arr in factors]
     plan = _block_plan(sizes, kept, [axes for _, axes in pending])
     if plan is None:
         return _product(pending, range(len(sizes)), sizes).sum(axis=drop)

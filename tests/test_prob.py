@@ -777,6 +777,7 @@ def test_blocked_observed_law_at_real_size():
                 if rng.random() < 0.4 and (confounded or not (a[0] == "U" and b[0] == "A"))
             ]
             edges += [(a, b) for a in rng.permutation(parents)[:4]]
+        assert any(a[0] == "U" and b[0] == "A" for a, b in edges) == confounded
         d = staged_diagram(4, variables, edges)
         binary = rng.choice([*labels, None])
         m = _model_with_states(rng, d, {lab: 2 if lab == binary else 3 for lab in labels})
