@@ -153,9 +153,11 @@ def _backward(
     return f
 
 
-def _first_true(mask: np.ndarray) -> tuple[int, ...]:
-    flat = int(np.argmax(mask.reshape(-1)))
-    return tuple(int(c) for c in np.unravel_index(flat, mask.shape))
+def _violation(oc: ObservationalConditionals, i: int, flagged: np.ndarray) -> PositivityViolation:
+    """The violation at the first flagged cell of stage i's (history, block, action) table."""
+    cfg = tuple(int(c) for c in np.unravel_index(np.argmax(flagged), flagged.shape))
+    hist = oc.hist_vars[i - 1] + oc.block_vars[i - 1]
+    return PositivityViolation(i, dict(zip(hist, cfg[:-1])), cfg[-1])
 
 
 def _walk_stage(
@@ -178,9 +180,7 @@ def check_recursion_support(oc: ObservationalConditionals, s: Strategy) -> None:
         w = _walk_stage(oc, i, w, _strategy_kernel(oc, s, i))
         unsupported = (w > 0.0) & ~oc.masks[i]
         if unsupported.any():
-            cfg = _first_true(unsupported)
-            hist = oc.hist_vars[i - 1] + oc.block_vars[i - 1]
-            raise PositivityViolation(i, dict(zip(hist, cfg[:-1])), cfg[-1])
+            raise _violation(oc, i, unsupported)
 
 
 def evaluate_g_recursion(

@@ -25,7 +25,7 @@ from .diagram import (
 from .errors import InternalTheorem2Violation
 from .prob import DiscreteModel, LossFunction
 from .stability import IdentifiabilityVerdict, decide_identifiability
-from .strategy import Strategy, make_stochastic
+from .strategy import Strategy, _gathered, make_stochastic
 
 
 def random_staged_diagram(
@@ -73,8 +73,11 @@ def random_parent_spec(
     return parent_spec(d, mapping)
 
 
-def _random_rows(rng: np.random.Generator, shape: tuple[int, ...], floor: float) -> np.ndarray:
-    raw = rng.uniform(floor, 1.0, size=shape)
+_FLOOR = 0.05  # the smallest raw draw of a random row, before normalising
+
+
+def _random_rows(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    raw = rng.uniform(_FLOOR, 1.0, size=shape)
     return raw / raw.sum(axis=-1, keepdims=True)
 
 
@@ -82,7 +85,6 @@ def random_model(
     rng: np.random.Generator,
     d: StagedDiagram,
     state_choices: tuple[int, ...] = (2, 3),
-    floor: float = 0.05,
 ) -> DiscreteModel:
     """Random CPTs with probabilities bounded away from zero.
 
@@ -96,7 +98,7 @@ def random_model(
         inert = d.inert_parents(v.label) if v.kind is VarKind.ACTION else frozenset()
         gen_shape = tuple(1 if p in inert else states[p] for p in parents) + (states[v.label],)
         full_shape = tuple(states[p] for p in parents) + (states[v.label],)
-        rows = _random_rows(rng, gen_shape, floor)
+        rows = _random_rows(rng, gen_shape)
         cpts[v.label] = np.broadcast_to(rows, full_shape).copy()
     return DiscreteModel(states=states, cpts=cpts)
 
@@ -107,23 +109,19 @@ def random_strategy(
     spec: StrategyParentSpec,
     states: dict[str, int],
     deterministic: bool = False,
-    floor: float = 0.05,
     name: str = "s",
 ) -> Strategy:
-    kernels = {}
+    """Random kernels, or with ``deterministic`` one uniform state per history."""
+    tables = {}
     for a in d.actions:
-        parents = kernel_parent_order(d, spec, a)
-        pshape = tuple(states[p] for p in parents)
+        pshape = tuple(states[p] for p in kernel_parent_order(d, spec, a))
         n = states[a]
         if deterministic:
-            table = np.zeros(pshape + (n,))
-            flat = table.reshape(-1, n)
-            for row in range(flat.shape[0]):
-                flat[row, int(rng.integers(n))] = 1.0
+            rows = [rng.integers(n) for _ in np.ndindex(*pshape)]  # in history-row order
+            tables[a] = np.array(rows, dtype=np.int64).reshape(pshape)
         else:
-            table = _random_rows(rng, pshape + (n,), floor)
-        kernels[a] = table
-    return make_stochastic(d, states, spec, kernels, name)
+            tables[a] = _random_rows(rng, pshape + (n,))
+    return (_gathered if deterministic else make_stochastic)(d, states, spec, tables, name)
 
 
 def random_loss(rng: np.random.Generator, states: dict[str, int], outcome: str) -> LossFunction:

@@ -15,20 +15,20 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .diagram import StagedDiagram, StrategyParentSpec, is_full_history, kernel_parent_order
+from .diagram import StagedDiagram, StrategyParentSpec, is_full_history
 from .errors import InvalidParentSpec, PositivityViolation
 from .evaluate import (
     ObservationalConditionals,
     _backward,
     _expand_kernel,
-    _first_true,
     _loss_table,
     _sum_block,
+    _violation,
     _walk_stage,
     check_recursion_support,
 )
 from .prob import LossFunction
-from .strategy import Strategy, StrategyEnumeration, enumerate_deterministic
+from .strategy import Strategy, StrategyEnumeration, _gathered, enumerate_deterministic
 
 _CHUNK_CELLS = 2**15  # cap on the cells of one batched table in brute force
 
@@ -82,9 +82,6 @@ class _ArgmaxSet(Sequence[Strategy]):
             return self._first
         return self._built()[i]
 
-    def __iter__(self) -> Iterator[Strategy]:
-        return iter(self._built())
-
     def __repr__(self) -> str:
         return repr(self._built())
 
@@ -98,9 +95,7 @@ def _positivity_gap(oc: ObservationalConditionals) -> PositivityViolation | None
         prefix = m_next.any(axis=-1)
         bad = prefix[..., None] & ~m_next
         if bad.any():
-            cfg = _first_true(bad)
-            hist = oc.hist_vars[i - 1] + oc.block_vars[i - 1]
-            return PositivityViolation(i, dict(zip(hist, cfg[:-1])), cfg[-1])
+            return _violation(oc, i, bad)
     return None
 
 
@@ -136,16 +131,9 @@ def optimize_backward(
         return f
 
     value = float(_backward(oc, _loss_table(oc, k), act))
-    strategy = Strategy(  # indicator rows gathered from the identity: valid by construction
-        name="backward-opt",
-        spec=spec,
-        actions=d.actions,
-        parent_orders=tuple(kernel_parent_order(d, spec, a) for a in d.actions),
-        tables=tuple(np.eye(oc.states[a])[choices[a]] for a in d.actions),
-    )
     return OptimizationResult(
         value=value,
-        strategy=strategy,
+        strategy=_gathered(d, oc.states, spec, choices, "backward-opt"),
         choices=choices,
         choice_values=choice_values,
         unreached=unreached,

@@ -42,7 +42,7 @@ from .errors import (
     UnknownNode,
 )
 from .graph import MAX_NODES, Dag
-from .strategy import Strategy
+from .strategy import ROW_SUM_TOL, Strategy
 
 MAX_CELLS = 2**22
 # cells of one block of _blocked_marginal's product: 512 KiB of float64
@@ -50,7 +50,6 @@ BLOCK_CELLS = 2**16
 # _contract names each variable by its position in np.einsum's sublist form,
 # which accepts at most 52 distinct labels
 assert MAX_NODES <= 52, "_contract needs at most 52 variables per contraction"
-ROW_SUM_TOL = 1e-12
 
 
 @dataclass(eq=False)

@@ -1,4 +1,14 @@
-"""Decision strategies: per-action kernels over observed-history configurations."""
+"""Decision strategies: per-action kernels over observed-history configurations.
+
+A deterministic strategy is one integer choice table per action: an action
+state for each configuration of the action's strategy parents.  Its kernels
+are identity rows gathered by those tables (``_gathered``, or
+``StrategyEnumeration._build`` for a batch), so every row is an indicator by
+construction and is not checked again.  ``make_deterministic`` fills the
+tables from per-history choices, which must name exactly the parent
+configurations, each with an integer state in range.  Stochastic kernels
+(``make_stochastic``) are cast to float and checked row by row.
+"""
 
 from __future__ import annotations
 
@@ -22,7 +32,7 @@ from .errors import (
     UnknownLabel,
 )
 
-KERNEL_TOL = 1e-12
+ROW_SUM_TOL = 1e-12  # how far a probability row may sum from one
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,36 +74,45 @@ class Strategy:
         )
 
 
-def _check_rows(action: str, table: np.ndarray) -> None:
+def _rows(action: str, kernel: np.ndarray) -> np.ndarray:
+    """The kernel as a float table, once every row is checked to be a distribution."""
+    table = np.asarray(kernel, dtype=float)
     if not np.isfinite(table).all() or (table < 0.0).any():
         raise ValueError(f"kernel entries for {action} must be finite and non-negative")
     sums = table.sum(axis=-1)
-    if sums.size and np.abs(sums - 1.0).max() > KERNEL_TOL:
+    if sums.size and np.abs(sums - 1.0).max() > ROW_SUM_TOL:
         raise ValueError(f"kernel rows for {action} are not normalised")
+    return table
 
 
-def _make(
-    d: StagedDiagram,
-    spec: StrategyParentSpec,
-    kernels: Mapping[str, np.ndarray],
-    name: str,
+def _is_state(v: object) -> bool:
+    """An integer state index; ``bool`` is refused, since numpy reads it as a mask."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _strategy(
+    d: StagedDiagram, spec: StrategyParentSpec, tables: Sequence[np.ndarray], name: str
 ) -> Strategy:
-    actions = d.actions
-    orders = []
-    tables = []
-    for a in actions:
-        parents = kernel_parent_order(d, spec, a)
-        table = np.asarray(kernels[a], dtype=float)
-        _check_rows(a, table)
-        orders.append(parents)
-        tables.append(table)
     return Strategy(
         name=name,
         spec=spec,
-        actions=actions,
-        parent_orders=tuple(orders),
+        actions=d.actions,
+        parent_orders=tuple(kernel_parent_order(d, spec, a) for a in d.actions),
         tables=tuple(tables),
     )
+
+
+def _gathered(
+    d: StagedDiagram,
+    states: Mapping[str, int],
+    spec: StrategyParentSpec,
+    choices: Mapping[str, np.ndarray],
+    name: str,
+) -> Strategy:
+    """The deterministic strategy whose action a picks state ``choices[a][h]``
+    at history h: one gather of identity rows per integer choice table, so
+    every row is an indicator by construction and needs no check."""
+    return _strategy(d, spec, [np.eye(states[a])[choices[a]] for a in d.actions], name)
 
 
 def make_unconditional(
@@ -107,15 +126,8 @@ def make_unconditional(
         raise MissingConfiguration(
             f"need one value per action, got {len(values)} for {len(d.actions)}"
         )
-    kernels = {}
-    for a, val in zip(d.actions, values):
-        n = states[a]
-        if not 0 <= val < n:
-            raise StateOutOfRange(f"{a} has {n} states, got {val}")
-        row = np.zeros(n)
-        row[val] = 1.0
-        kernels[a] = row
-    return _make(d, unconditional_spec(d), kernels, name)
+    choices = {a: {(): val} for a, val in zip(d.actions, values)}
+    return make_deterministic(d, states, unconditional_spec(d), choices, name)
 
 
 def make_deterministic(
@@ -127,25 +139,35 @@ def make_deterministic(
 ) -> Strategy:
     """Indicator kernels from explicit per-history action choices.
 
-    ``choices[action]`` must cover every configuration of the action's
-    strategy parents, keyed by state tuples in diagram order.
+    ``choices[action]`` must name exactly the configurations of the action's
+    strategy parents, keyed by state tuples in diagram order, each with an
+    integer state of the action (not a ``bool``), and ``choices`` may name
+    only the diagram's actions.  Each action's choices fill an int64 choice
+    table, and ``_gathered`` turns the tables into kernels.
     """
-    kernels = {}
+    tables = {}
     for a in d.actions:
-        parents = kernel_parent_order(d, spec, a)
-        pshape = tuple(states[p] for p in parents)
+        pshape = tuple(states[p] for p in kernel_parent_order(d, spec, a))
         n = states[a]
-        table = np.zeros(pshape + (n,))
+        table = np.empty(pshape, dtype=np.int64)
         chosen = choices.get(a, {})
         for cfg in np.ndindex(*pshape):
             if cfg not in chosen:
                 raise MissingConfiguration(f"{a}: no choice for history {cfg}")
             val = chosen[cfg]
+            if not _is_state(val):
+                raise StateOutOfRange(f"{a}: {val!r} at {cfg} is not an integer state")
             if not 0 <= val < n:
                 raise StateOutOfRange(f"{a} has {n} states, got {val} at {cfg}")
-            table[cfg + (val,)] = 1.0
-        kernels[a] = table
-    return _make(d, spec, kernels, name)
+            table[cfg] = val
+        if len(chosen) > table.size:  # every configuration is there, so some key is not one
+            cfg = next(c for c in chosen if c not in np.ndindex(*pshape))
+            raise MissingConfiguration(f"{a}: choice for history {cfg!r} outside shape {pshape}")
+        tables[a] = table
+    stray = [a for a in choices if a not in tables]
+    if stray:
+        raise UnknownLabel(f"choices for {stray[0]!r}, which is not an action of the diagram")
+    return _gathered(d, states, spec, tables, name)
 
 
 def make_stochastic(
@@ -155,14 +177,15 @@ def make_stochastic(
     kernels: Mapping[str, np.ndarray],
     name: str = "s",
 ) -> Strategy:
-    """Strategy from explicit kernel tables (shape checked against the spec)."""
+    """Strategy from explicit kernel tables (shape checked against the spec,
+    then every row checked to be a distribution)."""
     for a in d.actions:
         parents = kernel_parent_order(d, spec, a)
         want = tuple(states[p] for p in parents) + (states[a],)
         got = np.asarray(kernels[a]).shape
         if got != want:
             raise MissingConfiguration(f"{a}: kernel shape {got}, expected {want}")
-    return _make(d, spec, kernels, name)
+    return _strategy(d, spec, [_rows(a, kernels[a]) for a in d.actions], name)
 
 
 def kernel(s: Strategy, action: str, history: Mapping[str, int]) -> np.ndarray:
@@ -174,7 +197,7 @@ def kernel(s: Strategy, action: str, history: Mapping[str, int]) -> np.ndarray:
         if p not in history:
             raise MissingConfiguration(f"history missing {p} for {action}")
         v = history[p]
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        if not _is_state(v):
             raise MissingConfiguration(f"{p}={v!r} is not an integer state")
         if not 0 <= v < table.shape[ax]:
             raise MissingConfiguration(f"{p}={v} outside its {table.shape[ax]} states")
@@ -198,7 +221,6 @@ _ITER_CHUNK = 256  # strategies decoded at a time by ``StrategyEnumeration.__ite
 class StrategyEnumeration:
     """Sized lazy stream of all deterministic strategies for a parent spec."""
 
-    count: int
     _d: StagedDiagram
     _states: Mapping[str, int]
     _spec: StrategyParentSpec
@@ -214,6 +236,10 @@ class StrategyEnumeration:
             self._states[a] ** math.prod(self._states[p] for p in parents)
             for a, parents in zip(self._d.actions, self._parent_orders)
         )
+
+    @cached_property
+    def count(self) -> int:
+        return math.prod(self._radices)
 
     @cached_property
     def _places(self) -> tuple[np.ndarray, ...]:
@@ -285,11 +311,8 @@ def enumerate_deterministic(
     Strategy indices are int64, so a count above ``MAX_ENUMERATION`` is too
     large whatever ``cap`` is; the error then names that limit as the cap.
     """
-    count = 1
-    for a in d.actions:
-        n_cfg = math.prod(states[p] for p in spec.of(a))
-        count *= states[a] ** n_cfg
+    stream = StrategyEnumeration(_d=d, _states=states, _spec=spec)
     cap = min(cap, MAX_ENUMERATION)
-    if count > cap:
-        raise EnumerationTooLarge(count, cap)
-    return StrategyEnumeration(count=count, _d=d, _states=states, _spec=spec)
+    if stream.count > cap:
+        raise EnumerationTooLarge(stream.count, cap)
+    return stream

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from seqident.errors import (
     EnumerationTooLarge,
     MissingConfiguration,
     StateOutOfRange,
+    UnknownLabel,
 )
 from seqident.diagram import kernel_parent_order
 from seqident.fuzz import random_model, random_parent_spec, random_staged_diagram
@@ -76,6 +78,65 @@ class TestConstructors:
         )
         table = s.kernel_table("A2")
         assert table[0, 0] == 1.0 and table[1, 1] == 1.0
+
+    @pytest.mark.parametrize("val", [1.0, np.float64(1.0), 0.5, True, np.bool_(False), "1", None])
+    def test_deterministic_rejects_non_integer_choice(self, fig2b, fig2b_model, val):
+        # 1.0 used to end in a raw IndexError, and True was read as a mask
+        spec = parent_spec(fig2b, {"A2": ["L2"]})
+        with pytest.raises(StateOutOfRange, match=r"^A2: .* at \(1,\) is not an integer state$"):
+            make_deterministic(
+                fig2b, fig2b_model.states, spec, {"A1": {(): 0}, "A2": {(0,): 1, (1,): val}}
+            )
+
+    @pytest.mark.parametrize("values", [[1.5, 0], [0, True]])
+    def test_unconditional_rejects_non_integer_value(self, fig2b, fig2b_model, values):
+        a = "A1" if values[0] == 1.5 else "A2"
+        with pytest.raises(StateOutOfRange, match=rf"^{a}: .* at \(\) is not an integer state$"):
+            make_unconditional(fig2b, fig2b_model.states, values)
+
+    def test_deterministic_accepts_numpy_integers(self, fig2b, fig2b_model):
+        spec = parent_spec(fig2b, {"A2": ["L2"]})
+        s = make_deterministic(
+            fig2b,
+            fig2b_model.states,
+            spec,
+            {"A1": {(): np.int64(1)}, "A2": {(np.int8(0),): np.uint8(1), (1,): 0}},
+        )
+        assert np.array_equal(s.kernel_table("A1"), [0.0, 1.0])
+        assert np.array_equal(s.kernel_table("A2"), [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_deterministic_out_of_range_names_history(self, fig2b, fig2b_model):
+        spec = parent_spec(fig2b, {"A2": ["L2"]})
+        with pytest.raises(StateOutOfRange, match=r"^A2 has 2 states, got -1 at \(0,\)$"):
+            make_deterministic(
+                fig2b, fig2b_model.states, spec, {"A1": {(): 0}, "A2": {(0,): -1, (1,): 0}}
+            )
+
+    @pytest.mark.parametrize("stray", [(7,), (0, 0), ()])
+    def test_deterministic_rejects_stray_history(self, fig2b, fig2b_model, stray):
+        # a choice for a history outside the parent configurations used to be ignored
+        spec = parent_spec(fig2b, {"A2": ["L2"]})
+        chosen = {(0,): 0, (1,): 1, stray: 0}
+        want = rf"^A2: choice for history {re.escape(repr(stray))} outside shape \(2,\)$"
+        with pytest.raises(MissingConfiguration, match=want):
+            make_deterministic(fig2b, fig2b_model.states, spec, {"A1": {(): 0}, "A2": chosen})
+
+    def test_deterministic_missing_before_stray(self, fig2b, fig2b_model):
+        spec = parent_spec(fig2b, {"A2": ["L2"]})
+        with pytest.raises(MissingConfiguration, match=r"^A2: no choice for history \(1,\)$"):
+            make_deterministic(
+                fig2b, fig2b_model.states, spec, {"A1": {(): 0}, "A2": {(0,): 0, (7,): 1}}
+            )
+
+    def test_deterministic_rejects_unknown_action(self, fig2b, fig2b_model):
+        # choices for an action the diagram lacks used to be ignored
+        with pytest.raises(UnknownLabel, match="'A3'"):
+            make_deterministic(
+                fig2b,
+                fig2b_model.states,
+                unconditional_spec(fig2b),
+                {"A1": {(): 0}, "A2": {(): 1}, "A3": {(): 0}},
+            )
 
     def test_stochastic_row_round_trip(self, fig2b, fig2b_model):
         spec = parent_spec(fig2b, {"A2": ["L2"]})
