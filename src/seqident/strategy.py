@@ -1,13 +1,8 @@
 """Decision strategies: per-action kernels over observed-history configurations.
 
-A deterministic strategy is one integer choice table per action: an action
-state for each configuration of the action's strategy parents.  Its kernels
-are identity rows gathered by those tables (``_gathered``, or
-``StrategyEnumeration._build`` for a batch), so every row is an indicator by
-construction and is not checked again.  ``make_deterministic`` fills the
-tables from per-history choices, which must name exactly the parent
-configurations, each with an integer state in range.  Stochastic kernels
-(``make_stochastic``) are cast to float and checked row by row.
+A deterministic strategy's kernels are identity rows gathered by one integer
+choice table per action, which ``make_deterministic`` fills from choices
+that must name exactly the parent configurations.
 """
 
 from __future__ import annotations
@@ -109,9 +104,8 @@ def _gathered(
     choices: Mapping[str, np.ndarray],
     name: str,
 ) -> Strategy:
-    """The deterministic strategy whose action a picks state ``choices[a][h]``
-    at history h: one gather of identity rows per integer choice table, so
-    every row is an indicator by construction and needs no check."""
+    """The strategy whose action a picks ``choices[a][h]`` at history h: identity
+    rows gathered by each integer choice table, indicators by construction."""
     return _strategy(d, spec, [np.eye(states[a])[choices[a]] for a in d.actions], name)
 
 
@@ -141,9 +135,7 @@ def make_deterministic(
 
     ``choices[action]`` must name exactly the configurations of the action's
     strategy parents, keyed by state tuples in diagram order, each with an
-    integer state of the action (not a ``bool``), and ``choices`` may name
-    only the diagram's actions.  Each action's choices fill an int64 choice
-    table, and ``_gathered`` turns the tables into kernels.
+    integer state (not a ``bool``); ``choices`` names only the diagram's actions.
     """
     tables = {}
     for a in d.actions:
@@ -180,8 +172,7 @@ def make_stochastic(
     """Strategy from explicit kernel tables (shape checked against the spec,
     then every row checked to be a distribution)."""
     for a in d.actions:
-        parents = kernel_parent_order(d, spec, a)
-        want = tuple(states[p] for p in parents) + (states[a],)
+        want = tuple(states[p] for p in kernel_parent_order(d, spec, a)) + (states[a],)
         got = np.asarray(kernels[a]).shape
         if got != want:
             raise MissingConfiguration(f"{a}: kernel shape {got}, expected {want}")
