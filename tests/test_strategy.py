@@ -88,9 +88,8 @@ class TestConstructors:
                 fig2b, fig2b_model.states, spec, {"A1": {(): 0}, "A2": {(0,): 1, (1,): val}}
             )
 
-    @pytest.mark.parametrize("values", [[1.5, 0], [0, True]])
-    def test_unconditional_rejects_non_integer_value(self, fig2b, fig2b_model, values):
-        a = "A1" if values[0] == 1.5 else "A2"
+    @pytest.mark.parametrize(("values", "a"), [([1.5, 0], "A1"), ([0, True], "A2")])
+    def test_unconditional_rejects_non_integer_value(self, fig2b, fig2b_model, values, a):
         with pytest.raises(StateOutOfRange, match=rf"^{a}: .* at \(\) is not an integer state$"):
             make_unconditional(fig2b, fig2b_model.states, values)
 
