@@ -78,6 +78,10 @@ class _UsageError(Exception):
     """A command line the command cannot act on; exit code 2."""
 
 
+class _Refused(Exception):
+    """The file's diagram has violations, already printed; exit code 1."""
+
+
 USAGE_ERRORS = (
     _UsageError,
     ModelFileError,
@@ -175,6 +179,11 @@ def _has_sections(pf: ParsedModelFile, who: str, *sections: str) -> None:
         raise _UsageError(f"{who} needs {' and '.join(sections)} sections")
 
 
+def _violation_lines(violations) -> list[str]:
+    """``validate_diagram``'s findings, one line each."""
+    return [f"{v.code}: {v.message}" for v in violations]
+
+
 def _model_issues(pf: ParsedModelFile) -> list[str]:
     """``validate_model``'s findings on the file's model, one line each."""
     return [f"{i.code} [{i.var}]: {i.message}" for i in validate_model(pf.model, pf.diagram)]
@@ -190,39 +199,29 @@ def _require(pf: ParsedModelFile, who: str, *sections: str) -> None:
             raise _UsageError("\n".join(issues))
 
 
-def _inputs(args, *sections: str) -> ParsedModelFile | None:
-    """Load ``args.file`` and print its diagram violations to stderr: None
-    if there are any, else the file, which must have the named sections."""
+def _inputs(args, *sections: str) -> ParsedModelFile:
+    """Load ``args.file``, which must have the named sections.  A diagram with
+    violations is refused: they are printed to stderr."""
     pf = _load(args.file)
-    violations = validate_diagram(pf.diagram)
-    for v in violations:
-        print(f"{v.code}: {v.message}", file=sys.stderr)
-    if violations:
-        return None
+    lines = _violation_lines(validate_diagram(pf.diagram))
+    if lines:
+        print("\n".join(lines), file=sys.stderr)
+        raise _Refused
     _require(pf, args.command, *sections)
     return pf
 
 
 def _cmd_validate(args) -> int:
     pf = _load(args.file)
-    code = 0
-    violations = validate_diagram(pf.diagram)
-    for v in violations:
-        print(f"{v.code}: {v.message}")
-        code = 1
+    lines = _violation_lines(validate_diagram(pf.diagram))
     if pf.model is not None:
-        for issue in _model_issues(pf):
-            print(issue)
-            code = 1
-    if code == 0:
-        print("ok")
-    return code
+        lines += _model_issues(pf)
+    print("\n".join(lines) or "ok")
+    return 1 if lines else 0
 
 
 def _cmd_dsep(args) -> int:
     pf = _inputs(args)
-    if pf is None:
-        return 1
     groups: list[list[str]] = [[]]
     for tok in args.query:
         if tok == "/":
@@ -272,8 +271,6 @@ def _dsep_gap(pf: ParsedModelFile, x, y, z) -> float:
 
 def _cmd_check(args) -> int:
     pf = _inputs(args)
-    if pf is None:
-        return 1
     d = pf.diagram
     want_all = args.all or not (args.simple or args.extended or args.general or args.pearl_robins)
     spec = None
@@ -304,8 +301,6 @@ def _cmd_check(args) -> int:
 
 def _cmd_positivity(args) -> int:
     pf = _inputs(args, "cpt")
-    if pf is None:
-        return 1
     s = pf.strategy(args.strategy)
     report = check_positivity(pf.model, pf.diagram, s)
     if report.passed:
@@ -321,8 +316,6 @@ def _cmd_positivity(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     pf = _inputs(args, "cpt", "loss")
-    if pf is None:
-        return 1
     s = pf.strategy(args.strategy)
     if args.method == "grecursion":
         oc = observational_conditionals(pf.model, pf.diagram)
@@ -353,24 +346,27 @@ def _strategy_table_lines(d: StagedDiagram, choices, oc) -> list[str]:
 
 def _cmd_optimize(args) -> int:
     pf = _inputs(args, "cpt", "loss")
-    if pf is None:
-        return 1
     d = pf.diagram
     spec = _resolve_spec(args.spec, d)
     oc = observational_conditionals(pf.model, d)
-    if is_full_history(d, spec):
-        result = optimize_backward(oc, d, pf.loss, spec)
-        print(f"value {result.value!r}")
+    result = _optimum(oc, d, pf.loss, spec, args.max_enum)
+    print(f"value {result.value!r}")
+    if result.choices is not None:
         for line in _strategy_table_lines(d, result.choices, oc):
             print(line)
         flagged = sum(int(u.sum()) for u in result.unreached.values())
         if flagged:
             print(f"flagged: {flagged} unreachable histories carry the tie-break action")
     else:
-        result = optimize_bruteforce(oc, d, pf.loss, spec, cap=args.max_enum)
-        print(f"value {result.value!r}")
         print(f"argmax set size {len(result.argmax)}")
     return 0
+
+
+def _optimum(oc, d: StagedDiagram, loss, spec: StrategyParentSpec, cap: int = 10**6):
+    """Backward induction on the full-history spec, brute force on any other."""
+    if is_full_history(d, spec):
+        return optimize_backward(oc, d, loss, spec)
+    return optimize_bruteforce(oc, d, loss, spec, cap=cap)
 
 
 def _cmd_fuzz(args) -> int:
@@ -394,77 +390,70 @@ def _cmd_report(args) -> int:
     doc: dict = {"file": args.file}
     violations = validate_diagram(d)
     doc["validation"] = [{"code": v.code, "message": v.message} for v in violations]
-    code = 1 if violations else 0
     if not violations:
         spec = _resolve_spec(args.spec, d)
         if args.strategy is not None:
             _has_sections(pf, "report --strategy", "cpt", "loss")
         reports, decision = _analyse(d, spec)
         doc["reports"] = [_report_dict(r) for r in reports]
-        doc["verdict"] = decision.verdict.value
-        if decision.verdict.value == "NotGuaranteed":
-            code = 1
-        doc["value"] = None
-        doc["strategy_table"] = None
+        doc.update(verdict=decision.verdict.value, value=None, strategy_table=None)
         if pf.model is not None and pf.loss is not None:
             s = None if args.strategy is None else pf.strategy(args.strategy)
             # a numeric step that fails, or a model that validate flags,
             # leaves its first error in the fields it would have filled; the
             # reports and verdict above stand
-            errors = _model_issues(pf)
-            try:
-                oc = None if errors else observational_conditionals(pf.model, d)
-            except SeqidentError as exc:
-                errors = [str(exc)]
-            if errors:
-                code = 1
-                doc["strategy_table"] = {"error": errors[0]}
-                if s is not None:
-                    doc["value"] = {"error": errors[0]}
-            else:
-                if s is not None:
-                    try:
-                        doc["value"] = evaluate_g_recursion(oc, s, pf.loss).value
-                    except SeqidentError as exc:
-                        code = 1
-                        doc["value"] = {"error": str(exc)}
-                    doc["reports"].append(
-                        _report_dict(check_theorem1_numeric(pf.model, d, s, tol=args.tol))
-                    )
-                # the optimum for the spec the verdict is for, found as `optimize` finds it
-                try:
-                    if is_full_history(d, spec):
-                        opt = optimize_backward(oc, d, pf.loss, spec)
-                        found = {"choices": {a: t.tolist() for a, t in opt.choices.items()}}
-                    else:
-                        opt = optimize_bruteforce(oc, d, pf.loss, spec)
-                        found = {"argmax_size": len(opt.argmax)}
-                except SeqidentError as exc:
-                    code = 1
-                    doc["strategy_table"] = {"error": str(exc)}
-                else:
-                    doc["strategy_table"] = {"value": opt.value, **found}
+            issues = _model_issues(pf)
+            oc = {"error": issues[0]} if issues else _attempt(lambda: observational_conditionals(pf.model, d))
+            if s is not None:
+                doc["value"] = _attempt(lambda: evaluate_g_recursion(oc, s, pf.loss).value, oc)
+                if _error(oc) is None:
+                    doc["reports"].append(_report_dict(check_theorem1_numeric(pf.model, d, s, tol=args.tol)))
+            # the optimum for the spec the verdict is for, found as `optimize` finds it
+            doc["strategy_table"] = _attempt(lambda: _optimum_fields(_optimum(oc, d, pf.loss, spec)), oc)
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
-        for v in violations:
-            print(f"{v.code}: {v.message}")
+        for line in _violation_lines(violations):
+            print(line)
         if not violations:
             for rd in doc["reports"]:
                 _print_report(rd)
             print(f"verdict: {doc['verdict']}")
-            if isinstance(doc["value"], dict):
-                print(f"evaluate: {doc['value']['error']}")
+            if _error(doc["value"]) is not None:
+                print(f"evaluate: {_error(doc['value'])}")
             elif doc["value"] is not None:
                 print(f"value {doc['value']!r}")
-            if doc["strategy_table"] is not None:
-                if "value" in doc["strategy_table"]:
-                    print(f"optimal value {doc['strategy_table']['value']!r}")
-                    if "argmax_size" in doc["strategy_table"]:
-                        print(f"argmax set size {doc['strategy_table']['argmax_size']}")
-                else:
-                    print(f"optimize: {doc['strategy_table']['error']}")
-    return code
+            if _error(doc["strategy_table"]) is not None:
+                print(f"optimize: {_error(doc['strategy_table'])}")
+            elif doc["strategy_table"] is not None:
+                print(f"optimal value {doc['strategy_table']['value']!r}")
+                if "argmax_size" in doc["strategy_table"]:
+                    print(f"argmax set size {doc['strategy_table']['argmax_size']}")
+    failed = any(_error(doc.get(field)) is not None for field in ("value", "strategy_table"))
+    return 1 if violations or doc.get("verdict") == "NotGuaranteed" or failed else 0
+
+
+def _attempt(step, given=None):
+    """``step()``, or ``{"error": message}`` when it raises a SeqidentError;
+    a step whose input ``given`` holds a failed step fails with its error."""
+    if _error(given) is not None:
+        return given
+    try:
+        return step()
+    except SeqidentError as exc:
+        return {"error": str(exc)}
+
+
+def _error(field) -> str | None:
+    """The message of a report field that holds a failed step, else None."""
+    return field.get("error") if isinstance(field, dict) else None
+
+
+def _optimum_fields(opt) -> dict:
+    """The report's ``strategy_table`` for an ``_optimum`` result."""
+    if opt.choices is None:
+        return {"value": opt.value, "argmax_size": len(opt.argmax)}
+    return {"value": opt.value, "choices": {a: t.tolist() for a, t in opt.choices.items()}}
 
 
 def _at_least(kind: type, low: int, high: float = math.inf):
@@ -574,6 +563,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
+    except _Refused:
+        return 1
     except ModelFileError as exc:
         for issue in exc.issues:
             print(str(issue), file=sys.stderr)

@@ -44,9 +44,9 @@ class Dag:
     of ``parent_masks[v]`` is set when p is a parent of v.  There is room for
     the regime node beside a diagram's ``MAX_NODES`` variables.  An edge to a
     higher id, or out of a parentless node, cannot close a cycle; if any edge
-    is neither, the depth-first order runs and raises CycleDetected.  There
-    is one mask per label and no bit at or above the node count, or
-    UnknownNode is raised."""
+    is neither, the depth-first order runs and raises CycleDetected.  Labels
+    are distinct, or UnknownLabel is raised; there is one mask per label and
+    no bit at or above the node count, or UnknownNode is raised."""
 
     labels: tuple[str, ...]
     parent_masks: tuple[int, ...]
@@ -55,6 +55,9 @@ class Dag:
         _check_size(self.labels, MAX_NODES + 1)
         pm = self.parent_masks
         n = len(self.labels)
+        if len(set(self.labels)) != n:
+            dupes = sorted({lab for lab in self.labels if self.labels.count(lab) > 1})
+            raise UnknownLabel(f"duplicate labels: {', '.join(dupes)}")
         if len(pm) != n:
             raise UnknownNode(
                 f"{len(pm)} parent masks for {n} nodes"
@@ -166,9 +169,6 @@ def _mask(g: Dag, labels: Iterable[str]) -> int:
 def build_dag(labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> Dag:
     """Validate labels and edges and return their Dag."""
     labels = tuple(labels)
-    if len(set(labels)) != len(labels):
-        dupes = sorted({lab for lab in labels if labels.count(lab) > 1})
-        raise UnknownLabel(f"duplicate labels: {', '.join(dupes)}")
     _check_size(labels)
     index = {lab: i for i, lab in enumerate(labels)}
     masks = [0] * len(labels)

@@ -156,10 +156,14 @@ def make_deterministic(
             cfg = next(c for c in chosen if c not in np.ndindex(*pshape))
             raise MissingConfiguration(f"{a}: choice for history {cfg!r} outside shape {pshape}")
         tables[a] = table
-    stray = [a for a in choices if a not in tables]
-    if stray:
-        raise UnknownLabel(f"choices for {stray[0]!r}, which is not an action of the diagram")
+    _no_stray_actions(d, choices, "choices")
     return _gathered(d, states, spec, tables, name)
+
+
+def _no_stray_actions(d: StagedDiagram, given: Mapping, what: str) -> None:
+    stray = [a for a in given if a not in d.actions]
+    if stray:
+        raise UnknownLabel(f"{what} for {stray[0]!r}, which is not an action of the diagram")
 
 
 def make_stochastic(
@@ -169,9 +173,12 @@ def make_stochastic(
     kernels: Mapping[str, np.ndarray],
     name: str = "s",
 ) -> Strategy:
-    """Strategy from explicit kernel tables (shape checked against the spec,
-    then every row checked to be a distribution)."""
+    """Strategy from one kernel table for each action of the diagram (shape
+    checked against the spec, then every row checked to be a distribution)."""
+    _no_stray_actions(d, kernels, "kernels")
     for a in d.actions:
+        if a not in kernels:
+            raise MissingConfiguration(f"{a}: no kernel")
         want = tuple(states[p] for p in kernel_parent_order(d, spec, a)) + (states[a],)
         got = np.asarray(kernels[a]).shape
         if got != want:

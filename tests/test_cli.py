@@ -334,6 +334,16 @@ class TestOptimize:
         assert "value 0.89" in out
         assert "A2(L1=0, A1=0, L2=1) = 1" in out
 
+    def test_flags_unreachable_histories(self, capsys, models_dir, tmp_path):
+        # with L1 = 0 impossible, the five histories that start with it carry
+        # the tie-break action
+        text = (models_dir / "fig2b.sid").read_text()
+        p = tmp_path / "l1.sid"
+        p.write_text(text.replace("cpt L1 | - : 0.4 0.6", "cpt L1 | - : 0 1"))
+        code, out, _ = run(capsys, "optimize", str(p))
+        assert code == 0
+        assert out.endswith("\nflagged: 5 unreachable histories carry the tie-break action\n")
+
     def test_restricted_spec_bruteforce(self, capsys, models_dir):
         code, out, _ = run(
             capsys, "optimize", str(models_dir / "dominance.sid"), "--spec", "none"

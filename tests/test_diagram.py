@@ -53,6 +53,10 @@ class TestConstruction:
         with pytest.raises(UnknownLabel):
             staged_diagram(1, [("A1", "action", 1), ("A1", "hidden", 1), ("Y", "outcome", 2)], [])
 
+    def test_unknown_edge_endpoint(self):
+        with pytest.raises(UnknownLabel, match="^edge endpoint 'B' is not a declared variable$"):
+            staged_diagram(1, [("A1", "action", 1), ("Y", "outcome", 2)], [("A1", "Y"), ("B", "Y")])
+
     def test_reserved_regime_label(self):
         with pytest.raises(UnknownLabel):
             staged_diagram(1, [("sigma", "covariate", 1), ("A1", "action", 1), ("Y", "outcome", 2)], [])

@@ -105,6 +105,12 @@ class TestDagMasks:
         with pytest.raises(UnknownNode, match="3 parent masks for 2 nodes"):
             Dag(("A", "B"), (0, 1, 0))
 
+    def test_duplicate_labels(self):
+        # the index used to map 'A' to node 1 alone, so A and B read as separated
+        # although B's parent is node 0, also labelled A
+        with pytest.raises(UnknownLabel, match="^duplicate labels: A$"):
+            Dag(("A", "A", "B"), (0, 0, 1))
+
     def test_valid_masks(self):
         g = Dag(("A", "B", "C"), (0, 1, 3))
         assert g.parents == ((), (0,), (0, 1)) and g.edge_labels() == (("A", "B"), ("A", "C"), ("B", "C"))

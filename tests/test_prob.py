@@ -80,6 +80,14 @@ class TestValidateModel:
         assert [(i.code, i.var) for i in issues] == [("BadProbability", "L1")]
         assert "(0,)" in issues[0].message
 
+    @pytest.mark.parametrize("n", [0, None])
+    def test_bad_state_count(self, fig2b, fig2b_model, n):
+        fig2b_model.states["L1"] = n
+        issues = validate_model(fig2b_model, fig2b)
+        assert (issues[0].code, issues[0].var, issues[0].message) == (
+            "BadStateCount", "L1", f"state count {n!r} invalid"
+        )
+
     def test_shape_mismatch(self, fig2b, fig2b_model):
         fig2b_model.cpts["L2"] = np.array([[0.5, 0.5], [0.5, 0.5]])
         issues = validate_model(fig2b_model, fig2b)

@@ -88,6 +88,10 @@ class TestConstructors:
                 fig2b, fig2b_model.states, spec, {"A1": {(): 0}, "A2": {(0,): 1, (1,): val}}
             )
 
+    def test_unconditional_needs_one_value_per_action(self, fig2b, fig2b_model):
+        with pytest.raises(MissingConfiguration, match=r"^need one value per action, got 1 for 2$"):
+            make_unconditional(fig2b, fig2b_model.states, [0])
+
     @pytest.mark.parametrize(("values", "a"), [([1.5, 0], "A1"), ([0, True], "A2")])
     def test_unconditional_rejects_non_integer_value(self, fig2b, fig2b_model, values, a):
         with pytest.raises(StateOutOfRange, match=rf"^{a}: .* at \(\) is not an integer state$"):
@@ -158,6 +162,23 @@ class TestConstructors:
                 {"A1": np.array([0.5, 0.4]), "A2": np.array([0.5, 0.5])},
             )
 
+    @pytest.mark.parametrize(
+        ("kernels", "error", "match"),
+        [
+            # a missing action used to end in a raw KeyError, and an unknown one was ignored
+            ({"A1": [0.5, 0.5]}, MissingConfiguration, r"^A2: no kernel$"),
+            ({"A1": [0.5, 0.5], "A2": [0.5, 0.5], "A9": [1.0]}, UnknownLabel, "'A9'"),
+            (
+                {"A1": [[0.5, 0.5]], "A2": [0.5, 0.5]},
+                MissingConfiguration,
+                r"^A1: kernel shape \(1, 2\), expected \(2,\)$",
+            ),
+        ],
+    )
+    def test_stochastic_needs_one_kernel_per_action(self, fig2b, fig2b_model, kernels, error, match):
+        with pytest.raises(error, match=match):
+            make_stochastic(fig2b, fig2b_model.states, unconditional_spec(fig2b), kernels)
+
     @pytest.mark.parametrize("row", [[np.nan, 1.0], [np.inf, 1.0], [-0.5, 1.5]])
     def test_bad_entries_rejected(self, fig2b, fig2b_model, row):
         # a NaN row sum used to pass the normalisation test, and a negative
@@ -196,6 +217,14 @@ class TestKernelLookup:
         assert kernel(s, "A2", {"L1": 0, "A1": np.int64(1), "L2": 1}).shape == (2,)
         with pytest.raises(MissingConfiguration, match="not an integer state"):
             kernel(s, "A2", {"L1": 0, "A1": 1, "L2": state})
+
+    @pytest.mark.parametrize("state", [2, -1])
+    def test_state_out_of_range(self, fig2b, fig2b_model, state):
+        s = make_deterministic(
+            fig2b, fig2b_model.states, parent_spec(fig2b, {"A2": ["L2"]}), {"A1": {(): 0}, "A2": {(0,): 0, (1,): 1}}
+        )
+        with pytest.raises(MissingConfiguration, match=rf"^L2={state} outside its 2 states$"):
+            kernel(s, "A2", {"L2": state})
 
     def test_point_mass(self, fig2b, fig2b_model):
         spec = parent_spec(fig2b, {"A2": ["L2"]})
