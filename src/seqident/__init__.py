@@ -49,12 +49,10 @@ from .prob import (
     LossFunction,
     check_positivity,
     ci_deviation,
-    dag_joint,
     expectation,
     joint,
     loss_function,
     marginal,
-    mixed_joint_pi,
     validate_model,
 )
 from .stability import (

@@ -326,12 +326,24 @@ def parent_spec(d: StagedDiagram, mapping: Mapping[str, Iterable[str]]) -> Strat
     return StrategyParentSpec(parents=tuple(entries))
 
 
+def _spec_mask(d: StagedDiagram, spec: StrategyParentSpec, action: str) -> int:
+    """The action's strategy parents as a bitmask over the diagram's positions;
+    a parent the diagram lacks is refused as ``parent_spec`` refuses it."""
+    pos = d.position
+    mask = 0
+    for p in spec.of(action):
+        if p not in pos:
+            raise InvalidParentSpec(f"{p!r} is not a variable of the diagram")
+        mask |= 1 << pos[p]
+    return mask
+
+
 def kernel_parent_order(
     d: StagedDiagram, spec: StrategyParentSpec, action: str
 ) -> tuple[str, ...]:
     """The action's strategy parents in diagram order, which is the order of
     the parent axes of its kernel table."""
-    return tuple(sorted(spec.of(action), key=d.position.__getitem__))
+    return tuple(d.labels[p] for p in _ids(_spec_mask(d, spec, action)))
 
 
 def full_history_spec(d: StagedDiagram) -> StrategyParentSpec:
@@ -359,17 +371,15 @@ def normalize_parents(d: StagedDiagram, spec: StrategyParentSpec) -> StagedDiagr
     The variables are kept as they are, and the added edges join the edge
     list in position order.
     """
+    pos = d.position
     extra_edges: list[tuple[str, str]] = []
     extra_inert: set[tuple[str, str]] = set(d.inert)
     for action in d.actions:
-        have = d.pa_o(action)
-        for p in spec.of(action):
-            if p not in have:
-                extra_edges.append((p, action))
-                extra_inert.add((action, p))
+        for p in _ids(_spec_mask(d, spec, action) & ~d.parent_masks[pos[action]]):
+            extra_edges.append((d.labels[p], action))
+            extra_inert.add((action, d.labels[p]))
     if not extra_edges:
         return d
-    pos = d.position
     edges = sorted(d.edges + tuple(extra_edges), key=lambda e: (pos[e[0]], pos[e[1]]))
     return StagedDiagram(d.n_stages, d.vars, tuple(edges), frozenset(extra_inert))
 
@@ -384,12 +394,11 @@ def build_check_graph(d: StagedDiagram, spec: StrategyParentSpec, i: int) -> Dag
     """
     if not 0 <= i <= d.n_stages:
         raise StageOutOfRange(f"stage {i} not in 0..{d.n_stages}")
-    pos = d.position
     masks = list(d.parent_masks)
     for k, v in enumerate(d.vars):
         if v.kind is not VarKind.ACTION or v.stage < i:
             continue
-        strategy = sum(1 << pos[p] for p in spec.of(v.label))
+        strategy = _spec_mask(d, spec, v.label)
         if v.stage > i or i == 0:
             masks[k] = strategy
         else:
@@ -406,16 +415,15 @@ def build_pearl_robins_graph(
 
     Edges out of the stage-i action are removed; for every later action only
     the incoming edges the strategy actually consults survive (hidden parents
-    never do).
+    never do).  ``dprime``'s node ids are the diagram's positions, as in every
+    graph built from its parent masks.
     """
     if not 1 <= i <= d.n_stages:
         raise StageOutOfRange(f"stage {i} not in 1..{d.n_stages}")
-    index = dprime.index
-    a_i = index.get(d.action_label(i))
-    cut = 0 if a_i is None else 1 << a_i
+    pos = d.position
+    cut = 1 << pos[d.action_label(i)]
     masks = [m & ~cut for m in dprime.parent_masks]
     for j in range(i + 1, d.n_stages + 1):
         a = d.action_label(j)
-        if a in index:
-            masks[index[a]] &= sum(1 << index[p] for p in spec.of(a) if p in index)
+        masks[pos[a]] &= _spec_mask(d, spec, a)
     return Dag(dprime.labels, tuple(masks))

@@ -24,6 +24,7 @@ from .prob import (
     JointTable,
     LossFunction,
     _blocked_marginal,
+    _condition,
     _expand,
     _regime_marginal,
     _spliced_factors,
@@ -79,11 +80,7 @@ def observational_conditionals(m: DiscreteModel, d: StagedDiagram) -> Observatio
         hist = obs_labels[:offset]
         nb = len(block)
         num = np.asarray(table.sum(axis=tuple(range(offset + nb, table.ndim))))
-        den = np.asarray(num.sum(axis=tuple(range(offset, offset + nb))))
-        mask = np.asarray(den > 0.0)
-        safe = np.where(mask, den, 1.0)
-        cond = num / safe.reshape(safe.shape + (1,) * nb)
-        cond = np.where(mask.reshape(mask.shape + (1,) * nb), cond, 0.0)
+        cond, mask = _condition(num, offset)
         hist_vars.append(hist)
         block_vars.append(block)
         tables.append(cond)

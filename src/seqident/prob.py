@@ -13,15 +13,15 @@ Two ways to sum a product down.  ``_contract`` eliminates the dropped
 variables one at a time and multiplies what is left over the kept ones.
 The oracle-side queries (``evaluate_oracle``, ``evaluate_decomposition``,
 ``check_positivity``, ``check_theorem1_numeric`` and ``dsep --numeric``)
-keep a few variables.  The dense builders (``joint``, ``mixed_joint_pi``
-and ``dag_joint``) keep every variable, so their table is the plain
-product.  ``_blocked_marginal`` gives the observed law that
-``observational_conditionals`` reads, bitwise the dense joint's marginal
-without a table over every variable.  It grows the product factor by
-factor in a hidden-major layout (the hidden axes lead, the kept ones follow
-in reverse position order), so the sum over the leading hidden axes adds
-in the dense sum's order; blocks fix the latest kept axes and share the
-product of the factors before them.
+keep a few variables.  The one dense builder, ``joint``, keeps every
+variable, so its table is the plain product.  ``_blocked_marginal`` gives
+the observed law that ``observational_conditionals`` reads, bitwise the
+dense joint's marginal without a table over every variable.  It grows the
+product factor by factor in a hidden-major layout (the hidden axes lead,
+the kept ones follow in reverse position order), so the sum over the
+leading hidden axes adds in the dense sum's order; blocks fix the latest
+kept axes and share the product of the factors before them.  ``_condition``
+turns such a law into conditionals, for the recursion and the splice check.
 """
 
 from __future__ import annotations
@@ -37,11 +37,10 @@ import numpy as np
 from .diagram import StagedDiagram, VarKind
 from .errors import (
     OverlappingSets,
-    StageOutOfRange,
     StateSpaceTooLarge,
     UnknownNode,
 )
-from .graph import MAX_NODES, Dag
+from .graph import MAX_NODES
 from .strategy import ROW_SUM_TOL, Strategy
 
 MAX_CELLS = 2**22
@@ -144,7 +143,8 @@ def validate_model(m: DiscreteModel, d: StagedDiagram) -> tuple[ModelIssue, ...]
             msg = f"entry {cell} is {cpt[cell] if exact else float(cpt[cell])!r}, not a probability"
             issues.append(ModelIssue("BadProbability", lab, msg))
             continue
-        sums = np.asarray(cpt.sum(axis=-1))
+        with np.errstate(over="ignore"):  # a row summing to inf is reported below
+            sums = np.asarray(cpt.sum(axis=-1))
         off = np.asarray(np.abs(sums - 1))
         if off.size and off.max() > tol:
             row = np.unravel_index(int(off.argmax()), off.shape)
@@ -388,13 +388,6 @@ def joint(m: DiscreteModel, d: StagedDiagram, strategy: Strategy | None = None) 
     return JointTable(d.labels, _regime_marginal(m, d, strategy, d.labels))
 
 
-def mixed_joint_pi(m: DiscreteModel, d: StagedDiagram, s: Strategy, i: int) -> JointTable:
-    """Spliced joint: observational factors through stage i, strategy after."""
-    if not 0 <= i <= d.n_stages:
-        raise StageOutOfRange(f"stage {i} not in 0..{d.n_stages}")
-    return JointTable(d.labels, _contract(d.labels, m.states, _spliced_factors(m, d, s, i), d.labels))
-
-
 def marginal(j: JointTable, keep: Iterable[str]) -> JointTable:
     """Sum out everything not in ``keep``; axis order follows the source table."""
     keep_set = set(keep)
@@ -404,6 +397,18 @@ def marginal(j: JointTable, keep: Iterable[str]) -> JointTable:
     drop = tuple(ax for ax, lab in enumerate(j.labels) if lab not in keep_set)
     labels = tuple(lab for lab in j.labels if lab in keep_set)
     return JointTable(labels=labels, table=j.table.sum(axis=drop))
+
+
+def _condition(table: np.ndarray, lead: int) -> tuple[np.ndarray, np.ndarray]:
+    """The law of ``table``'s trailing axes given its first ``lead`` axes,
+    zero-filled where the leading configuration has no mass, and the mask of
+    the leading configurations that have some."""
+    wide = (1,) * (table.ndim - lead)
+    den = np.asarray(table.sum(axis=tuple(range(lead, table.ndim))))
+    mask = np.asarray(den > 0.0)
+    safe = np.where(mask, den, 1.0)
+    cond = np.where(mask.reshape(mask.shape + wide), table / safe.reshape(safe.shape + wide), 0.0)
+    return cond, mask
 
 
 def expectation(j: JointTable, k: LossFunction) -> float:
@@ -485,16 +490,3 @@ def check_positivity(m: DiscreteModel, d: StagedDiagram, s: Strategy) -> Positiv
             issues.append(PositivityIssue(i, tuple(zip(hist_vars, cfg)), int(a_state), reason))
     return PositivityReport(passed=not issues, issues=tuple(issues))
 
-
-def dag_joint(
-    dag: Dag, states: Mapping[str, int], cpts: Mapping[str, np.ndarray]
-) -> JointTable:
-    """Joint for a plain DAG parameterisation.
-
-    CPT axes: the node's parents in ascending node-id order, own states last.
-    """
-    factors = []
-    for nid, lab in enumerate(dag.labels):
-        axes = tuple(dag.parents[nid]) + (nid,)
-        factors.append((axes, cpts[lab]))
-    return JointTable(dag.labels, _contract(dag.labels, states, factors, dag.labels))

@@ -34,7 +34,7 @@ from .diagram import (
 )
 from .errors import InternalTheorem2Violation, InvalidParentSpec
 from .graph import SeparationVerdict, ancestors, d_separated
-from .prob import DiscreteModel, _contract, _spliced_factors
+from .prob import DiscreteModel, _condition, _contract, _spliced_factors
 from .strategy import Strategy
 
 
@@ -229,16 +229,10 @@ def check_theorem1_numeric(
                 laws[j, i] = _contract(d.labels, m.states, factors, hists[i - 1] + (y,))
     entries = []
     for i, hist in enumerate(hists, start=1):
-        left, right = laws[i - 1, i], laws[i, i]
-        lden = left.sum(axis=-1)
-        rden = right.sum(axis=-1)
-        both = (lden > 0.0) & (rden > 0.0)
-        if both.any():
-            lc = left[both] / lden[both][:, None]
-            rc = right[both] / rden[both][:, None]
-            dev = float(np.abs(lc - rc).max())
-        else:
-            dev = 0.0
+        lc, lmask = _condition(laws[i - 1, i], len(hist))
+        rc, rmask = _condition(laws[i, i], len(hist))
+        both = lmask & rmask
+        dev = float(np.abs(lc - rc)[both].max(initial=0.0))
         skipped = int((~both).sum())
         note = f"max deviation {dev:.3e}"
         if skipped:

@@ -74,7 +74,8 @@ def _rows(action: str, kernel: np.ndarray) -> np.ndarray:
     table = np.asarray(kernel, dtype=float)
     if not np.isfinite(table).all() or (table < 0.0).any():
         raise ValueError(f"kernel entries for {action} must be finite and non-negative")
-    sums = table.sum(axis=-1)
+    with np.errstate(over="ignore"):  # a row summing to inf is refused below
+        sums = table.sum(axis=-1)
     if sums.size and np.abs(sums - 1.0).max() > ROW_SUM_TOL:
         raise ValueError(f"kernel rows for {action} are not normalised")
     return table

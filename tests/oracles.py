@@ -21,13 +21,14 @@ Then come the per-configuration loops that
 arrays, and the array code must match them bit for bit.  Then come the decomposition and the
 splice check as they ran on dense joints, before those queries summed
 variables out one at a time.  Then comes the dense product as it was
-built before every table went through ``prob._contract``; the dense
-builders must reproduce it bit for bit.  Then come two dense-table helpers
+built before every table went through ``prob._contract``; ``joint`` and the
+contraction must reproduce it bit for bit, and the tests build every dense
+spliced or plain-DAG table with it.  Then come two dense-table helpers
 that only the tests use: conditioning a joint on evidence, and the joint
-with the regime indicator that ``dsep --numeric`` sums down.  Last are four
+with the regime indicator that ``dsep --numeric`` sums down.  Last are five
 helpers the package itself never calls: a numeric conditional-independence
-test, a random plain DAG with its parameterisation, and a model's own action
-kernels as a strategy.
+test, a random plain DAG with its parameterisation and its factors, and a
+model's own action kernels as a strategy.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ from seqident.prob import (
     _regime_mixture,
     ci_deviation,
     joint,
+    _spliced_factors,
     marginal,
-    mixed_joint_pi,
 )
 from seqident.stability import CheckEntry, IdentificationReport
 
@@ -361,19 +362,6 @@ def brute_joint(
     return out
 
 
-def brute_dag_joint(
-    g: Dag, states: dict[str, int], cpts
-) -> dict[tuple[int, ...], float]:
-    out = {}
-    for cfg in itertools.product(*[range(states[v]) for v in g.labels]):
-        p = 1.0
-        for nid, v in enumerate(g.labels):
-            idx = tuple(cfg[q] for q in g.parents[nid]) + (cfg[nid],)
-            p *= float(cpts[v][idx])
-        out[cfg] = p
-    return out
-
-
 def brute_conditional(
     joint_map: dict[tuple[int, ...], float],
     labels: tuple[str, ...],
@@ -572,12 +560,17 @@ def decomposition_reference(m: DiscreteModel, d: StagedDiagram, s: Strategy, k) 
 
 def splice_reference(m: DiscreteModel, d: StagedDiagram, s: Strategy, tol: float):
     """The splice check with both spliced joints built densely for every stage."""
+
+    def spliced(split: int) -> np.ndarray:
+        return product_joint_reference(d.labels, m.states, _spliced_factors(m, d, s, split))
+
     y = d.outcome_label
     entries = []
     for i in range(1, d.n_stages + 1):
         hist = d.actions_before(i + 1) + d.covariates_through(i)
-        left = marginal(mixed_joint_pi(m, d, s, i - 1), hist + (y,)).table
-        right = marginal(mixed_joint_pi(m, d, s, i), hist + (y,)).table
+        left, right = (
+            marginal(JointTable(d.labels, spliced(j)), hist + (y,)).table for j in (i - 1, i)
+        )
         lden, rden = left.sum(axis=-1), right.sum(axis=-1)
         both = (lden > 0.0) & (rden > 0.0)
         dev = 0.0
@@ -694,6 +687,12 @@ def random_dag_parameterization(
         raw = rng.uniform(floor, 1.0, size=shape)
         cpts[lab] = raw / raw.sum(axis=-1, keepdims=True)
     return states, cpts
+
+
+def dag_factors(dag: Dag, cpts: Mapping[str, np.ndarray]) -> list:
+    """The ``(axes, table)`` factors of a plain DAG parameterisation: each
+    node's CPT over its parents in ascending node-id order, then itself."""
+    return [(tuple(dag.parents[nid]) + (nid,), cpts[lab]) for nid, lab in enumerate(dag.labels)]
 
 
 def from_observational(model: DiscreteModel, d: StagedDiagram, name: str = "obs") -> Strategy:

@@ -14,7 +14,6 @@ from seqident import (
     check_pearl_robins,
     check_simple_stability,
     d_separated,
-    dag_joint,
     decide_identifiability,
     enumerate_deterministic,
     evaluate_decomposition,
@@ -24,7 +23,6 @@ from seqident import (
     joint,
     loss_function,
     make_deterministic,
-    mixed_joint_pi,
     normalize_parents,
     observational_conditionals,
     optimize_backward,
@@ -39,9 +37,16 @@ from seqident.fuzz import (
     random_strategy,
     theorem2_fuzz,
 )
-from seqident.prob import check_positivity
+from seqident.prob import JointTable, _spliced_factors, check_positivity
 
-from .oracles import ci_holds, path_d_separated, random_dag, random_dag_parameterization
+from .oracles import (
+    ci_holds,
+    dag_factors,
+    path_d_separated,
+    product_joint_reference,
+    random_dag,
+    random_dag_parameterization,
+)
 
 
 def _report(name: str, detail: str, t0: float) -> None:
@@ -195,7 +200,8 @@ def test_criterion_6_separation_soundness():
         assert verdict.separated == path_d_separated(g, set(x), set(y), set(z))
         if verdict.separated:
             states, cpts = random_dag_parameterization(rng, g)
-            assert ci_holds(dag_joint(g, states, cpts), x, y, z, tol=1e-9)
+            jt = JointTable(g.labels, product_joint_reference(g.labels, states, dag_factors(g, cpts)))
+            assert ci_holds(jt, x, y, z, tol=1e-9)
             separated += 1
     assert separated >= 40
     assert time.perf_counter() - t0 < 30.0
@@ -233,8 +239,10 @@ def test_criterion_8_splice_endpoints_bitwise():
         spec = random_parent_spec(rng, d)
         m = random_model(rng, d)
         s = random_strategy(rng, d, spec, m.states, deterministic=bool(rng.integers(2)))
-        assert np.array_equal(mixed_joint_pi(m, d, s, 0).table, joint(m, d, s).table)
-        assert np.array_equal(
-            mixed_joint_pi(m, d, s, d.n_stages).table, joint(m, d).table
-        )
+        spliced = [
+            product_joint_reference(d.labels, m.states, _spliced_factors(m, d, s, split))
+            for split in (0, d.n_stages)
+        ]
+        assert np.array_equal(spliced[0], joint(m, d, s).table)
+        assert np.array_equal(spliced[1], joint(m, d).table)
     _report("criterion 8 (splice endpoints)", "100 instances bitwise-equal at both ends", t0)

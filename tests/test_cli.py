@@ -45,6 +45,18 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", str(p))
         assert code == 1 and "BadProbability [A2]" in out
 
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    def test_overflowing_row_sum_is_reported_quietly(self, capsys, tmp_path, models_dir, command):
+        # the row's sum overflows to inf, which used to print numpy's warning first
+        text = (models_dir / "fig2b.sid").read_text().replace(
+            "cpt L1 | - : 0.4 0.6", "cpt L1 | - : 1e308 1e308"
+        )
+        p = tmp_path / "overflow.sid"
+        p.write_text(text)
+        code, out, err = run(capsys, command, str(p))
+        assert code == 1 and err == ""
+        assert "RowNotNormalized [L1]: row () sums to inf" in out
+
     def test_parse_error_exit_two(self, capsys, tmp_path):
         p = tmp_path / "broken.sid"
         p.write_text("stages 1\nvar A1 actoin stage=1\n")
@@ -303,6 +315,17 @@ class TestEvaluate:
         assert code == 2 and out == ""
         assert "line 46, col 1" in err and "finite and non-negative" in err
 
+    @pytest.mark.parametrize("command", [("validate",), ("evaluate", "--strategy", "both-high")])
+    def test_overflowing_strategy_row_exit_two(self, capsys, models_dir, tmp_path, command):
+        p = tmp_path / "overflow.sid"
+        p.write_text(
+            (models_dir / "fig2b.sid").read_text().replace(
+                "strategy both-high A1 | - : 0 1", "strategy both-high A1 | - : 1e308 1e308"
+            )
+        )
+        code, out, err = run(capsys, command[0], str(p), *command[1:])
+        assert (code, out, err) == (2, "", "line 46, col 1: kernel rows for A1 are not normalised\n")
+
     def test_graph_only_is_usage_error(self, capsys, models_dir):
         code, _, err = run(
             capsys, "evaluate", str(models_dir / "fig2a.sid"), "--strategy", "x"
@@ -350,6 +373,12 @@ class TestOptimize:
         )
         assert code == 0 and "value 0.645" in out
 
+    def test_enumeration_over_the_cap_exit_one(self, capsys, models_dir):
+        code, out, err = run(
+            capsys, "optimize", str(models_dir / "fig2b.sid"), "--spec", "none", "--max-enum", "1"
+        )
+        assert (code, out, err) == (1, "", "4 strategies exceed the enumeration cap of 1\n")
+
 
 class TestFuzz:
     def test_small_sweep(self, capsys):
@@ -371,6 +400,18 @@ class TestFuzz:
     def test_requires_property_flag(self, capsys):
         code, _, err = run(capsys, "fuzz")
         assert code == 2
+
+    def test_violation_exit_three(self, capsys, monkeypatch):
+        from seqident import cli
+        from seqident.fuzz import FuzzResult
+
+        monkeypatch.setattr(
+            cli, "theorem2_fuzz", lambda seed, iters: FuzzResult(iters, 0, 1, 0, ("general without simple",))
+        )
+        code, out, err = run(capsys, "fuzz", "--theorem2", "--iters", "1")
+        assert code == 3
+        assert out == "iterations 1: simple 0, general-only 1, not-guaranteed 0\n"
+        assert err == "violation: general without simple\n"
 
 
 class TestReport:

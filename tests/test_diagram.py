@@ -7,10 +7,16 @@ from seqident import (
     augment_with_regime,
     build_check_graph,
     build_pearl_robins_graph,
+    enumerate_deterministic,
     full_history_spec,
     is_full_history,
+    make_deterministic,
+    make_stochastic,
     normalize_parents,
+    observational_conditionals,
+    optimize_bruteforce,
     parent_spec,
+    parse_model_file,
     staged_diagram,
     unconditional_spec,
     validate_diagram,
@@ -23,7 +29,7 @@ from seqident.errors import (
     TooManyNodes,
     UnknownLabel,
 )
-from seqident.fuzz import random_parent_spec, random_staged_diagram
+from seqident.fuzz import random_parent_spec, random_staged_diagram, random_strategy
 from seqident.diagram import VarKind
 from seqident.graph import build_dag, d_separated
 
@@ -296,6 +302,10 @@ class TestParentSpec:
         with pytest.raises(InvalidParentSpec):
             parent_spec(fig2a, {"A2": ["Y"]})
 
+    def test_pa_o_of_a_non_action(self, fig2a):
+        with pytest.raises(UnknownLabel, match="^'L2' is not an action variable$"):
+            fig2a.pa_o("L2")
+
     def test_full_history(self, fig2a, fig2b):
         full = full_history_spec(fig2a)
         assert full.of("A1") == frozenset()
@@ -305,6 +315,36 @@ class TestParentSpec:
         assert full_b.of("A2") == {"L1", "A1", "L2"}
         assert is_full_history(fig2b, full_b)
         assert not is_full_history(fig2b, unconditional_spec(fig2b))
+
+
+# every function that reads a spec's parents, called on fig2a_bite with the
+# spec of fig2b, whose L1 fig2a_bite lacks
+_FOREIGN_SPEC_CALLS = {
+    "make_deterministic": lambda pf, spec: make_deterministic(pf.diagram, pf.model.states, spec, {}),
+    "make_stochastic": lambda pf, spec: make_stochastic(
+        pf.diagram, pf.model.states, spec, {"A1": np.full(2, 0.5), "A2": np.full(2, 0.5)}
+    ),
+    "enumerate_deterministic": lambda pf, spec: enumerate_deterministic(pf.diagram, pf.model.states, spec),
+    "optimize_bruteforce": lambda pf, spec: optimize_bruteforce(
+        observational_conditionals(pf.model, pf.diagram), pf.diagram, pf.loss, spec
+    ),
+    "random_strategy": lambda pf, spec: random_strategy(
+        np.random.default_rng(0), pf.diagram, spec, pf.model.states
+    ),
+    "normalize_parents": lambda pf, spec: normalize_parents(pf.diagram, spec),
+    "build_check_graph": lambda pf, spec: build_check_graph(pf.diagram, spec, 1),
+    "build_pearl_robins_graph": lambda pf, spec: build_pearl_robins_graph(pf.diagram.dag, pf.diagram, spec, 1),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_FOREIGN_SPEC_CALLS))
+def test_spec_of_another_diagram_is_refused(models_dir, call):
+    # each of these used to end in a bare KeyError, and the Pearl-Robins
+    # graph silently dropped the parent
+    bite = parse_model_file((models_dir / "fig2a_bite.sid").read_text())
+    spec = full_history_spec(parse_model_file((models_dir / "fig2b.sid").read_text()).diagram)
+    with pytest.raises(InvalidParentSpec, match="^'L1' is not a variable of the diagram$"):
+        _FOREIGN_SPEC_CALLS[call](bite, spec)
 
 
 class TestNormalize:

@@ -13,7 +13,6 @@ from seqident import (
     augment_with_regime,
     build_dag,
     d_separated,
-    dag_joint,
     full_history_spec,
     stability,
 )
@@ -31,13 +30,16 @@ from seqident.fuzz import (
     random_staged_diagram,
 )
 from seqident.graph import MAX_NODES
+from seqident.prob import JointTable
 
 from .oracles import (
     ci_holds,
+    dag_factors,
     first_cycle,
     kahn_order,
     moral_graph_reference,
     path_d_separated,
+    product_joint_reference,
     random_dag,
     random_dag_parameterization,
     separation_witness_reference,
@@ -137,6 +139,10 @@ class TestAncestors:
     def test_unknown_node(self, fig2a):
         with pytest.raises(UnknownNode):
             ancestors(fig2a.dag, ["nope"])
+
+    def test_parent_labels_of_unknown_node(self, fig2a):
+        with pytest.raises(UnknownNode, match="^unknown node 'nope'$"):
+            fig2a.dag.parent_labels("nope")
 
 
 def _moral_adjacency(g, seed) -> dict[str, set[str]]:
@@ -340,7 +346,7 @@ def test_separation_sound_for_random_parameterizations():
         states, cpts = random_dag_parameterization(rng, g)
         verdict = d_separated(g, x, y, z)
         if verdict.separated:
-            jt = dag_joint(g, states, cpts)
+            jt = JointTable(g.labels, product_joint_reference(g.labels, states, dag_factors(g, cpts)))
             assert ci_holds(jt, x, y, z, tol=1e-9), (g.edge_labels(), x, y, z)
             checked += 1
     assert checked >= 40  # plenty of separated queries must actually occur
@@ -360,7 +366,7 @@ def test_connection_shows_up_numerically():
         dependent = False
         for _ in range(5):
             states, cpts = random_dag_parameterization(rng, g)
-            jt = dag_joint(g, states, cpts)
+            jt = JointTable(g.labels, product_joint_reference(g.labels, states, dag_factors(g, cpts)))
             if not ci_holds(jt, x, y, z, tol=1e-6):
                 dependent = True
                 break

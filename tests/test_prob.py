@@ -14,23 +14,20 @@ from seqident import (
     VarKind,
     check_positivity,
     ci_deviation,
-    dag_joint,
     expectation,
     full_history_spec,
     joint,
     loss_function,
     make_deterministic,
     marginal,
-    mixed_joint_pi,
     parent_spec,
     staged_diagram,
-    unconditional_spec,
     validate_model,
 )
 from seqident import prob, stability
 from seqident.cli import _dsep_gap
 from seqident.diagram import REGIME
-from seqident.errors import StageOutOfRange, StateSpaceTooLarge
+from seqident.errors import OverlappingSets, StateSpaceTooLarge, UnknownNode
 from seqident.evaluate import evaluate_decomposition, evaluate_oracle
 from seqident.graph import MAX_NODES
 from seqident.modelfile import ParsedModelFile
@@ -51,6 +48,7 @@ from .oracles import (
     ci_deviation_reference,
     ci_holds,
     condition,
+    dag_factors,
     decomposition_reference,
     from_observational,
     positivity_issues_reference,
@@ -72,6 +70,14 @@ class TestValidateModel:
         issues = validate_model(fig2b_model, fig2b)
         assert any(i.code == "RowNotNormalized" and i.var == "L1" for i in issues)
         assert any("0.9" in i.message for i in issues)
+
+    def test_overflowing_row_sum(self, fig2b, fig2b_model):
+        # the sum overflows to inf, which used to raise numpy's overflow warning
+        fig2b_model.cpts["L1"] = np.array([1e308, 1e308])
+        issues = validate_model(fig2b_model, fig2b)
+        assert [(i.code, i.var, i.message) for i in issues] == [
+            ("RowNotNormalized", "L1", "row () sums to inf")
+        ]
 
     @pytest.mark.parametrize("row", [[-0.5, 1.5], [np.nan, 0.6]])
     def test_bad_probability(self, fig2b, fig2b_model, row):
@@ -232,14 +238,19 @@ class TestJoint:
             joint(DiscreteModel(states, cpts), d)
 
 
+def _spliced_table(m, d, s, split):
+    """The dense spliced product: observational factors through the split, strategy after."""
+    return product_joint_reference(d.labels, m.states, prob._spliced_factors(m, d, s, split))
+
+
 class TestMixedJoint:
     def test_endpoints_bitwise(self, fig2b, fig2b_model):
         rng = np.random.default_rng(0)
         s = random_strategy(rng, fig2b, full_history_spec(fig2b), fig2b_model.states)
-        p0 = mixed_joint_pi(fig2b_model, fig2b, s, 0)
-        pn = mixed_joint_pi(fig2b_model, fig2b, s, fig2b.n_stages)
-        assert np.array_equal(p0.table, joint(fig2b_model, fig2b, s).table)
-        assert np.array_equal(pn.table, joint(fig2b_model, fig2b).table)
+        p0 = _spliced_table(fig2b_model, fig2b, s, 0)
+        pn = _spliced_table(fig2b_model, fig2b, s, fig2b.n_stages)
+        assert np.array_equal(p0, joint(fig2b_model, fig2b, s).table)
+        assert np.array_equal(pn, joint(fig2b_model, fig2b).table)
 
     def test_interior_splice_matches_hand_product(self, fig2a, bite_model):
         full = full_history_spec(fig2a)
@@ -249,7 +260,7 @@ class TestMixedJoint:
             full,
             {"A1": {(): 0}, "A2": {(a1, l2): l2 for a1 in range(2) for l2 in range(2)}},
         )
-        p1 = mixed_joint_pi(bite_model, fig2a, s, 1)
+        p1 = _spliced_table(bite_model, fig2a, s, 1)
         # stage-1 action observational, stage-2 strategic
         for u1 in range(2):
             for a1 in range(2):
@@ -263,13 +274,7 @@ class TestMixedJoint:
                                 * (1.0 if a2 == l2 else 0.0)
                                 * bite_model.cpts["Y"][a1, a2, y]
                             )
-                            assert p1.table[u1, a1, l2, a2, y] == pytest.approx(want, abs=1e-15)
-
-    def test_stage_bounds(self, fig2b, fig2b_model):
-        rng = np.random.default_rng(0)
-        s = random_strategy(rng, fig2b, unconditional_spec(fig2b), fig2b_model.states)
-        with pytest.raises(StageOutOfRange):
-            mixed_joint_pi(fig2b_model, fig2b, s, 3)
+                            assert p1[u1, a1, l2, a2, y] == pytest.approx(want, abs=1e-15)
 
 
 class TestCondition:
@@ -332,6 +337,25 @@ class TestExpectation:
         bj = brute_joint(fig2b, fig2b_model, s)
         want = brute_expectation(bj, fig2b.labels, "Y", unit_loss.values)
         assert expectation(jt, unit_loss) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "query, error, message",
+    [
+        (lambda jt: jt.axis("Z"), UnknownNode, "variable 'Z' not in table"),
+        (lambda jt: marginal(jt, ["Y", "Z"]), UnknownNode, "not in table: ['Z']"),
+        (
+            lambda jt: expectation(jt, loss_function([0, 1, 2], "Y")),
+            ValueError,
+            "loss table over (3,) states, outcome has (2,)",
+        ),
+        (lambda jt: ci_deviation(jt, ["L1"], ["Y"], ["L1"]), OverlappingSets, "query sets must be pairwise disjoint"),
+    ],
+)
+def test_bad_table_query_is_refused(fig2b, fig2b_model, query, error, message):
+    with pytest.raises(error) as exc:
+        query(joint(fig2b_model, fig2b))
+    assert str(exc.value) == message
 
 
 class TestCiHolds:
@@ -635,7 +659,8 @@ def _bitwise(got: np.ndarray, want: np.ndarray) -> bool:
 
 def test_dense_builders_match_reference_product():
     # every dense table is the old float product bit for bit: both regimes,
-    # every split, the regime mixture and plain DAG joints
+    # the contraction kept to every variable at every split and on plain
+    # DAG factors, and the regime mixture
     rng = np.random.default_rng(79)
     for _ in range(40):
         d = random_staged_diagram(rng)
@@ -650,13 +675,15 @@ def test_dense_builders_match_reference_product():
             assert _bitwise(joint(m, d).table, want[-1])
             assert _bitwise(joint(m, d, s).table, want[0])
             for i in range(d.n_stages + 1):
-                assert _bitwise(mixed_joint_pi(m, d, s, i).table, want[i])
+                contracted = prob._contract(d.labels, m.states, prob._spliced_factors(m, d, s, i), d.labels)
+                assert _bitwise(contracted, want[i])
             mixture = np.stack([0.5 * want[-1], 0.5 * want[0]], axis=-1)
             assert _bitwise(regime_mixture_joint(m, d, s).table, mixture)
         g = random_dag(rng)
         states, cpts = random_dag_parameterization(rng, g)
-        factors = [(tuple(g.parents[nid]) + (nid,), cpts[lab]) for nid, lab in enumerate(g.labels)]
-        assert _bitwise(dag_joint(g, states, cpts).table, product_joint_reference(g.labels, states, factors))
+        factors = dag_factors(g, cpts)
+        contracted = prob._contract(g.labels, states, factors, g.labels)
+        assert _bitwise(contracted, product_joint_reference(g.labels, states, factors))
 
 
 def _fractions(table: np.ndarray) -> np.ndarray:
@@ -673,10 +700,13 @@ def test_dense_builders_exact_on_fractions():
         s = random_strategy(rng, d, random_parent_spec(rng, d), m.states, bool(rng.random() < 0.5))
         s = replace(s, tables=tuple(_fractions(t) for t in s.tables))
         # (split, table): observational factors through the split, strategy after
-        built = [(i, mixed_joint_pi(m, d, s, i).table) for i in range(d.n_stages + 1)]
+        built = [
+            (i, prob._contract(d.labels, m.states, prob._spliced_factors(m, d, s, i), d.labels))
+            for i in range(d.n_stages + 1)
+        ]
         built.append((d.n_stages, joint(m, d).table))
         built.append((0, joint(m, d, s).table))
-        built.append((d.n_stages, dag_joint(d.dag, m.states, m.cpts).table))
+        built.append((d.n_stages, prob._contract(d.labels, m.states, dag_factors(d.dag, m.cpts), d.labels)))
         for split, table in built:
             assert table.dtype == object and all(type(p) is Fraction for p in table.flat)
             for cfg in itertools.product(*(range(m.states[v]) for v in d.labels)):

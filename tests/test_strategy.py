@@ -179,6 +179,16 @@ class TestConstructors:
         with pytest.raises(error, match=match):
             make_stochastic(fig2b, fig2b_model.states, unconditional_spec(fig2b), kernels)
 
+    def test_overflowing_row_sum_rejected(self, fig2b, fig2b_model):
+        # the sum overflows to inf, which used to raise numpy's overflow warning
+        with pytest.raises(ValueError, match="^kernel rows for A1 are not normalised$"):
+            make_stochastic(
+                fig2b,
+                fig2b_model.states,
+                unconditional_spec(fig2b),
+                {"A1": np.array([1e308, 1e308]), "A2": np.array([0.5, 0.5])},
+            )
+
     @pytest.mark.parametrize("row", [[np.nan, 1.0], [np.inf, 1.0], [-0.5, 1.5]])
     def test_bad_entries_rejected(self, fig2b, fig2b_model, row):
         # a NaN row sum used to pass the normalisation test, and a negative
@@ -204,6 +214,11 @@ class TestKernelLookup:
         )
         with pytest.raises(MissingConfiguration):
             kernel(s, "A2", {"A1": 0})
+
+    def test_unknown_action(self, fig2b, fig2b_model):
+        s = make_unconditional(fig2b, fig2b_model.states, [0, 1])
+        with pytest.raises(UnknownLabel, match="^strategy has no kernel for 'L1'$"):
+            kernel(s, "L1", {})
 
     @pytest.mark.parametrize("state", [True, False, 1.0, np.float64(0.0), "1", None])
     def test_non_integer_state(self, fig2b, fig2b_model, state):
