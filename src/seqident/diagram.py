@@ -415,11 +415,13 @@ def build_pearl_robins_graph(
 
     Edges out of the stage-i action are removed; for every later action only
     the incoming edges the strategy actually consults survive (hidden parents
-    never do).  ``dprime``'s node ids are the diagram's positions, as in every
-    graph built from its parent masks.
+    never do).  ``dprime``'s first nodes must be the diagram's variables in
+    position order, as in every graph built from its parent masks.
     """
     if not 1 <= i <= d.n_stages:
         raise StageOutOfRange(f"stage {i} not in 1..{d.n_stages}")
+    if dprime.labels[: len(d.vars)] != d.labels:
+        raise UnknownLabel("the graph's first nodes are not the diagram's variables in order")
     pos = d.position
     cut = 1 << pos[d.action_label(i)]
     masks = [m & ~cut for m in dprime.parent_masks]

@@ -68,9 +68,9 @@ from seqident.prob import (
     JointTable,
     PositivityIssue,
     _regime_mixture,
+    _spliced_factors,
     ci_deviation,
     joint,
-    _spliced_factors,
     marginal,
 )
 from seqident.stability import CheckEntry, IdentificationReport

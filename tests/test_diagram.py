@@ -370,6 +370,15 @@ class TestCheckGraph:
         with pytest.raises(StageOutOfRange):
             build_pearl_robins_graph(fig2a.dag, fig2a, spec, 0)
 
+    def test_pearl_robins_needs_the_diagram_order(self, fig2a):
+        # the spec's parents are read as diagram positions, so a graph with
+        # the same labels in another order is refused, not misread
+        spec = full_history_spec(fig2a)
+        assert build_pearl_robins_graph(fig2a.regime_dag, fig2a, spec, 1).labels[-1] == "sigma"
+        reordered = build_dag(reversed(fig2a.labels), fig2a.edges)
+        with pytest.raises(UnknownLabel, match="not the diagram's variables in order"):
+            build_pearl_robins_graph(reordered, fig2a, spec, 1)
+
     def test_stage_zero_has_no_regime(self, fig2a):
         g = build_check_graph(fig2a, unconditional_spec(fig2a), 0)
         assert "sigma" not in g.labels
