@@ -304,12 +304,17 @@ class StrategyParentSpec:
 
 
 def parent_spec(d: StagedDiagram, mapping: Mapping[str, Iterable[str]]) -> StrategyParentSpec:
-    """Validate and canonicalise a per-action parent mapping."""
+    """Validate and canonicalise a per-action parent mapping.
+
+    An action's parents are checked in a fixed order, so that the first one
+    refused does not depend on set iteration: labels the diagram lacks by
+    name, then the others by diagram position.
+    """
     pos = d.position
     entries: list[tuple[str, frozenset[str]]] = []
     for action in d.actions:
         ps = frozenset(mapping.get(action, ()))
-        for p in ps:
+        for p in sorted(ps, key=lambda p: (p in pos, pos.get(p, 0), p)):
             if p not in pos:
                 raise InvalidParentSpec(f"{p!r} is not a variable of the diagram")
             kind = d.by_label[p].kind
@@ -328,12 +333,14 @@ def parent_spec(d: StagedDiagram, mapping: Mapping[str, Iterable[str]]) -> Strat
 
 def _spec_mask(d: StagedDiagram, spec: StrategyParentSpec, action: str) -> int:
     """The action's strategy parents as a bitmask over the diagram's positions;
-    a parent the diagram lacks is refused as ``parent_spec`` refuses it."""
+    a parent the diagram lacks is refused as ``parent_spec`` refuses it, the
+    first by name when there are several."""
     pos = d.position
     mask = 0
     for p in spec.of(action):
         if p not in pos:
-            raise InvalidParentSpec(f"{p!r} is not a variable of the diagram")
+            missing = min(q for q in spec.of(action) if q not in pos)
+            raise InvalidParentSpec(f"{missing!r} is not a variable of the diagram")
         mask |= 1 << pos[p]
     return mask
 

@@ -3,8 +3,12 @@
 All graphical criteria reduce to separation queries on derived graphs:
 simple and extended stability are read off the regime-augmented diagram,
 the general criterion off the per-stage hybrid-regime graphs, and the
-Pearl-Robins criterion off the per-stage edge-deleted graphs.  Each check
-returns a report whose failed entries carry a witness path.
+Pearl-Robins criterion off the per-stage edge-deleted graphs.  Each of the
+four is its list of stage queries (index, graph, x, y, z) handed to one
+runner, ``_run``, which asks them in stage order, building each stage's
+graph only when that stage comes up, and renders one entry per query.  A
+stage whose x is empty passes as vacuous.  Failed entries carry a witness
+path.
 
 A graphical check runs once per diagram object and spec: its report is
 stored on the diagram instance, so a later call with the same object and
@@ -17,7 +21,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -26,7 +30,6 @@ from .diagram import (
     StagedDiagram,
     StrategyParentSpec,
     VarKind,
-    augment_with_regime,
     build_check_graph,
     build_pearl_robins_graph,
     is_full_history,
@@ -93,38 +96,54 @@ def _once_per_diagram(check: Callable[..., IdentificationReport]):
     return once
 
 
-def _stability(d: StagedDiagram, with_hidden: bool) -> IdentificationReport:
-    """Per stage, the block given the past is regime-invariant; with_hidden
-    adds each stage's hidden variables to its block and to later pasts."""
-    g = augment_with_regime(d)
+# what a stage lacks when its first query set is empty, by check
+_LACKS = {"simple-stability": "covariates", "extended-stability": "covariates or hidden variables"}
+
+
+def _run(
+    d: StagedDiagram, check: str, queries: Iterable[tuple], notes: tuple[str, ...] = ()
+) -> IdentificationReport:
+    """One entry per stage query (index, graph, x, y, z), asked in turn.
+
+    The queries are drawn one at a time, so a generator builds a stage's
+    graph only after the earlier stages are asked, and a graph that raises
+    leaves no report.  A stage with an empty x passes vacuously.
+    """
     entries = []
+    for i, g, x, y, z in queries:
+        if x:
+            v = d_separated(g, x, y, z)
+            entries.append(CheckEntry(i, _render(d, x, y, z), v.separated, v))
+        else:
+            lacks = f"stage {i} has no {_LACKS[check]}"
+            entries.append(CheckEntry(i, lacks, True, None, "vacuous"))
+    return IdentificationReport(check, tuple(entries), notes)
+
+
+def _stability_queries(d: StagedDiagram) -> Iterator[tuple]:
+    """Per stage, the covariate block vs the regime in the regime graph, given
+    the observed past."""
     for i in range(1, d.n_stages + 2):
-        block = d.covariate_block(i)
         past = d.actions_before(i) + d.covariates_before(i)
-        if with_hidden:
-            if i <= d.n_stages:
-                block = d.hidden_labels(i) + block
-            past += d.stage_span(VarKind.HIDDEN, 1, i)
-        if not block:
-            missing = "covariates or hidden variables" if with_hidden else "covariates"
-            entries.append(CheckEntry(i, f"stage {i} has no {missing}", True, None, "vacuous"))
-            continue
-        v = d_separated(g, block, (REGIME,), past)
-        entries.append(CheckEntry(i, _render(d, block, (REGIME,), past), v.separated, v))
-    check = "extended-stability" if with_hidden else "simple-stability"
-    return IdentificationReport(check=check, entries=tuple(entries))
+        yield i, d.regime_dag, d.covariate_block(i), (REGIME,), past
 
 
 @_once_per_diagram
 def check_simple_stability(d: StagedDiagram) -> IdentificationReport:
     """Per stage, the covariate block given the observed past is regime-invariant."""
-    return _stability(d, with_hidden=False)
+    return _run(d, "simple-stability", _stability_queries(d))
 
 
 @_once_per_diagram
 def check_extended_stability(d: StagedDiagram) -> IdentificationReport:
-    """Simple stability once the hidden blocks are added to the conditioning chain."""
-    return _stability(d, with_hidden=True)
+    """Simple stability once the hidden blocks are added to the conditioning chain:
+    each stage's hidden variables join its block and every later past."""
+    n = d.n_stages
+    return _run(d, "extended-stability", (
+        (i, g, (d.hidden_labels(i) if i <= n else ()) + x, y,
+         z + d.stage_span(VarKind.HIDDEN, 1, i))
+        for i, g, x, y, z in _stability_queries(d)
+    ))
 
 
 @_once_per_diagram
@@ -135,32 +154,31 @@ def check_general(d: StagedDiagram, spec: StrategyParentSpec) -> IdentificationR
     positivity.  The same separation test is applied whether the strategy
     kernels are deterministic or stochastic.
     """
-    y = d.outcome_label
-    entries = []
-    for i in range(1, d.n_stages + 1):
-        g = build_check_graph(d, spec, i)
-        cond = d.actions_before(i + 1) + d.covariates_through(i)
-        v = d_separated(g, (y,), (REGIME,), cond)
-        entries.append(CheckEntry(i, _render(d, (y,), (REGIME,), cond), v.separated, v))
-    return IdentificationReport(
-        check="general-criterion",
-        entries=tuple(entries),
-        notes=("applies to stochastic strategy kernels as well as deterministic ones",),
-    )
+    return _run(d, "general-criterion", (
+        (
+            i,
+            build_check_graph(d, spec, i),
+            (d.outcome_label,),
+            (REGIME,),
+            d.actions_before(i + 1) + d.covariates_through(i),
+        )
+        for i in range(1, d.n_stages + 1)
+    ), notes=("applies to stochastic strategy kernels as well as deterministic ones",))
 
 
 @_once_per_diagram
 def check_pearl_robins(d: StagedDiagram, spec: StrategyParentSpec) -> IdentificationReport:
     """Outcome vs each action in the edge-deleted graphs, given the action's history."""
-    y = d.outcome_label
-    entries = []
-    for i in range(1, d.n_stages + 1):
-        g = build_pearl_robins_graph(d.dag, d, spec, i)
-        a = d.action_label(i)
-        cond = d.actions_before(i) + d.covariates_through(i)
-        v = d_separated(g, (y,), (a,), cond)
-        entries.append(CheckEntry(i, _render(d, (y,), (a,), cond), v.separated, v))
-    return IdentificationReport(check="pearl-robins", entries=tuple(entries))
+    return _run(d, "pearl-robins", (
+        (
+            i,
+            build_pearl_robins_graph(d.dag, d, spec, i),
+            (d.outcome_label,),
+            (d.action_label(i),),
+            d.actions_before(i) + d.covariates_through(i),
+        )
+        for i in range(1, d.n_stages + 1)
+    ))
 
 
 @_once_per_diagram
@@ -177,30 +195,19 @@ def check_assumptions(d: StagedDiagram, spec: StrategyParentSpec) -> Identificat
     entries = []
     for i, a in enumerate(d.actions, start=1):
         ok = spec.of(a) <= set(d.pa_o(a))
-        entries.append(
-            CheckEntry(i, f"strategy parents of {a} within observational parents", ok)
-        )
+        entries.append(CheckEntry(i, f"strategy parents of {a} within observational parents", ok))
+    covariates = [v for v in d.vars if v.kind is VarKind.COVARIATE]
+    where = "in the all-strategy graph"
     anc_y = ancestors(d0, (y,))
-    for v in d.vars:
-        if v.kind.value != "covariate":
-            continue
+    for v in covariates:
         ok = v.label in anc_y and v.label != y
-        entries.append(
-            CheckEntry(v.stage, f"{v.label} is an ancestor of {y} in the all-strategy graph", ok)
-        )
-    notes = []
-    for a in d.actions:
-        notes.append(
-            f"informational: {a} ancestor of {y} in the all-strategy graph: "
-            f"{a in anc_y}"
-        )
+        entries.append(CheckEntry(v.stage, f"{v.label} is an ancestor of {y} {where}", ok))
+    notes = [f"informational: {a} ancestor of {y} {where}: {a in anc_y}" for a in d.actions]
     anc_actions = ancestors(d0, d.actions)
-    for v in d.vars:
-        if v.kind.value == "covariate":
-            notes.append(
-                f"informational: {v.label} ancestor of some action in the all-strategy graph: "
-                f"{v.label in anc_actions}"
-            )
+    notes += [
+        f"informational: {v.label} ancestor of some action {where}: {v.label in anc_actions}"
+        for v in covariates
+    ]
     return IdentificationReport(check="assumptions", entries=tuple(entries), notes=tuple(notes))
 
 
@@ -237,15 +244,8 @@ def check_theorem1_numeric(
         note = f"max deviation {dev:.3e}"
         if skipped:
             note += f"; skipped {skipped} zero-probability histories"
-        entries.append(
-            CheckEntry(
-                i,
-                f"outcome law given {', '.join(hist) or 'nothing'} invariant to stage-{i} splice",
-                dev <= tol,
-                None,
-                note,
-            )
-        )
+        query = f"outcome law given {', '.join(hist) or 'nothing'} invariant to stage-{i} splice"
+        entries.append(CheckEntry(i, query, dev <= tol, None, note))
     return IdentificationReport(check="splice-agreement", entries=tuple(entries))
 
 

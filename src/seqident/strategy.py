@@ -86,28 +86,23 @@ def _is_state(v: object) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _strategy(
-    d: StagedDiagram, spec: StrategyParentSpec, tables: Sequence[np.ndarray], name: str
-) -> Strategy:
-    return Strategy(
-        name=name,
-        spec=spec,
-        actions=d.actions,
-        parent_orders=tuple(kernel_parent_order(d, spec, a) for a in d.actions),
-        tables=tuple(tables),
-    )
-
-
 def _gathered(
     d: StagedDiagram,
     states: Mapping[str, int],
     spec: StrategyParentSpec,
     choices: Mapping[str, np.ndarray],
     name: str,
+    orders: Sequence[tuple[str, ...]] | None = None,
 ) -> Strategy:
     """The strategy whose action a picks ``choices[a][h]`` at history h: identity
-    rows gathered by each integer choice table, indicators by construction."""
-    return _strategy(d, spec, [np.eye(states[a])[choices[a]] for a in d.actions], name)
+    rows gathered by each integer choice table, indicators by construction.
+    Without ``orders`` the parent orders are derived from the spec."""
+    if orders is None:
+        orders = [kernel_parent_order(d, spec, a) for a in d.actions]
+    tables = tuple(np.eye(states[a])[choices[a]] for a in d.actions)
+    return Strategy(
+        name=name, spec=spec, actions=d.actions, parent_orders=tuple(orders), tables=tables
+    )
 
 
 def make_unconditional(
@@ -138,9 +133,10 @@ def make_deterministic(
     strategy parents, keyed by state tuples in diagram order, each with an
     integer state (not a ``bool``); ``choices`` names only the diagram's actions.
     """
-    tables = {}
+    tables, orders = {}, []
     for a in d.actions:
-        pshape = tuple(states[p] for p in kernel_parent_order(d, spec, a))
+        orders.append(kernel_parent_order(d, spec, a))
+        pshape = tuple(states[p] for p in orders[-1])
         n = states[a]
         table = np.empty(pshape, dtype=np.int64)
         chosen = choices.get(a, {})
@@ -158,7 +154,7 @@ def make_deterministic(
             raise MissingConfiguration(f"{a}: choice for history {cfg!r} outside shape {pshape}")
         tables[a] = table
     _no_stray_actions(d, choices, "choices")
-    return _gathered(d, states, spec, tables, name)
+    return _gathered(d, states, spec, tables, name, orders)
 
 
 def _no_stray_actions(d: StagedDiagram, given: Mapping, what: str) -> None:
@@ -177,14 +173,19 @@ def make_stochastic(
     """Strategy from one kernel table for each action of the diagram (shape
     checked against the spec, then every row checked to be a distribution)."""
     _no_stray_actions(d, kernels, "kernels")
+    orders = []
     for a in d.actions:
         if a not in kernels:
             raise MissingConfiguration(f"{a}: no kernel")
-        want = tuple(states[p] for p in kernel_parent_order(d, spec, a)) + (states[a],)
+        orders.append(kernel_parent_order(d, spec, a))
+        want = tuple(states[p] for p in orders[-1]) + (states[a],)
         got = np.asarray(kernels[a]).shape
         if got != want:
             raise MissingConfiguration(f"{a}: kernel shape {got}, expected {want}")
-    return _strategy(d, spec, [_rows(a, kernels[a]) for a in d.actions], name)
+    tables = tuple(_rows(a, kernels[a]) for a in d.actions)
+    return Strategy(
+        name=name, spec=spec, actions=d.actions, parent_orders=tuple(orders), tables=tables
+    )
 
 
 def kernel(s: Strategy, action: str, history: Mapping[str, int]) -> np.ndarray:

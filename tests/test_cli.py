@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqident
 from seqident.cli import main
 
 from .conftest import MODELS_DIR
@@ -71,6 +75,23 @@ class TestValidate:
         code, out, err = run(capsys, "validate", str(tmp_path))
         assert code == 2 and out == ""
         assert "Is a directory" in err and "Traceback" not in err
+
+    def test_refusal_of_several_bad_parents_ignores_string_hashing(self, tmp_path, models_dir):
+        # L2 and Y are both refused as parents of A1; the message used to name
+        # whichever one the frozenset of parents yielded first
+        text = (models_dir / "fig2b.sid").read_text()
+        p = tmp_path / "two-bad-parents.sid"
+        p.write_text(text.replace("strategy both-high A1 | - : 0 1", "strategy both-high A1 | L2 Y : 0 1"))
+        src = str(Path(seqident.__file__).resolve().parent.parent)
+        runs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            argv = [sys.executable, "-m", "seqident.cli", "validate", str(p)]
+            done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+            runs.append((done.returncode, done.stdout, done.stderr))
+        assert runs[0] == runs[1]
+        assert runs[0] == (2, "", "line 46, col 1: L2 is not realised before A1\n")
 
 
     @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from seqident.errors import (
     UnknownLabel,
 )
 from seqident.fuzz import random_parent_spec, random_staged_diagram, random_strategy
-from seqident.diagram import VarKind
+from seqident.diagram import StrategyParentSpec, VarKind, kernel_parent_order
 from seqident.graph import build_dag, d_separated
 
 from .oracles import (
@@ -345,6 +345,26 @@ def test_spec_of_another_diagram_is_refused(models_dir, call):
     spec = full_history_spec(parse_model_file((models_dir / "fig2b.sid").read_text()).diagram)
     with pytest.raises(InvalidParentSpec, match="^'L1' is not a variable of the diagram$"):
         _FOREIGN_SPEC_CALLS[call](bite, spec)
+
+
+@pytest.mark.parametrize(
+    "parents, message",
+    [
+        (["Y", "L2"], "L2 is not realised before A1"),
+        (["Y", "L2", "Q", "P"], "'P' is not a variable of the diagram"),
+        (["A2", "Y"], "A2 is not realised before A1"),
+    ],
+)
+def test_several_bad_parents_refused_in_a_fixed_order(fig2b, parents, message):
+    # labels the diagram lacks first, by name, then the others by position
+    with pytest.raises(InvalidParentSpec, match=f"^{message}$"):
+        parent_spec(fig2b, {"A1": parents})
+
+
+def test_several_labels_a_foreign_spec_lacks_are_named_by_the_first(fig2b):
+    spec = StrategyParentSpec(parents=(("A1", frozenset({"Q", "P", "L1"})), ("A2", frozenset())))
+    with pytest.raises(InvalidParentSpec, match="^'P' is not a variable of the diagram$"):
+        kernel_parent_order(fig2b, spec, "A1")
 
 
 class TestNormalize:

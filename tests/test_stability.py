@@ -9,6 +9,7 @@ import pytest
 import seqident.stability as stability
 from seqident import (
     IdentifiabilityVerdict,
+    build_check_graph,
     check_assumptions,
     check_extended_stability,
     check_general,
@@ -22,14 +23,30 @@ from seqident import (
     staged_diagram,
     unconditional_spec,
 )
-from seqident.errors import InternalTheorem2Violation, InvalidParentSpec, UnknownLabel
+from seqident.graph import build_dag
+from seqident.diagram import REGIME
+from seqident.errors import CycleDetected, InternalTheorem2Violation, InvalidParentSpec, UnknownLabel
 from seqident.fuzz import (
     random_parent_spec,
     random_staged_diagram,
     random_strategy,
 )
 
-from .oracles import splice_parts, splice_reference
+from .oracles import (
+    action_label_scan,
+    actions_before_scan,
+    check_graph_reference,
+    covariate_labels_scan,
+    covariates_before_scan,
+    covariates_through_scan,
+    hidden_labels_scan,
+    hidden_past_scan,
+    pearl_robins_graph_reference,
+    regime_dag_reference,
+    separation_witness_reference,
+    splice_parts,
+    splice_reference,
+)
 
 
 class TestSimpleStability:
@@ -414,3 +431,109 @@ def test_fuzz_general_pass_implies_simple_pass():
     assert result.ok
     assert result.general_passes == 0
     assert result.simple_passes + result.not_guaranteed == 200
+
+
+def _entry_reference(d, check, i, g, x, y, z):
+    """The entry a check stores for one stage, from label-based graphs and the
+    breadth-first witness search; x and z are rendered in diagram order."""
+    if not x:
+        lacks = {"simple-stability": "covariates", "extended-stability": "covariates or hidden variables"}
+        return (i, f"stage {i} has no {lacks[check]}", True, None, "vacuous")
+    ordered = lambda labels: ", ".join(v.label for v in d.vars if v.label in labels)
+    query = f"{ordered(x)} _||_ {y}" + (f" | {ordered(z)}" if z else "")
+    witness = separation_witness_reference(g, set(x), {y}, set(z))
+    return (i, query, witness is None, witness, "")
+
+
+def _reports_reference(d, spec):
+    """Each check's entries rebuilt from the per-stage scans and the label-based
+    reference graphs, by check name."""
+    n = d.n_stages
+    y = next(v.label for v in d.vars if v.kind.value == "outcome")
+    regime = regime_dag_reference(d)
+    base = build_dag(d.labels, list(d.edges))
+    simple, extended, general, pearl_robins = [], [], [], []
+    for i in range(1, n + 2):
+        block = covariate_labels_scan(d, i) if i <= n else (y,)
+        past = actions_before_scan(d, i) + covariates_before_scan(d, i)
+        simple.append(_entry_reference(d, "simple-stability", i, regime, block, REGIME, past))
+        hidden = hidden_labels_scan(d, i) if i <= n else ()
+        extended.append(_entry_reference(
+            d, "extended-stability", i, regime, hidden + block, REGIME, past + hidden_past_scan(d, i)
+        ))
+    for i in range(1, n + 1):
+        history = covariates_through_scan(d, i)
+        general.append(_entry_reference(
+            d, "general-criterion", i, check_graph_reference(d, spec, i), (y,), REGIME,
+            actions_before_scan(d, i + 1) + history,
+        ))
+        pearl_robins.append(_entry_reference(
+            d, "pearl-robins", i, pearl_robins_graph_reference(base, d, spec, i), (y,),
+            action_label_scan(d, i), actions_before_scan(d, i) + history,
+        ))
+    return {
+        "simple-stability": simple,
+        "extended-stability": extended,
+        "general-criterion": general,
+        "pearl-robins": pearl_robins,
+    }
+
+
+def test_every_entry_matches_the_label_reference():
+    # which sets each check poses per stage, its entry text and its witness,
+    # for full-history, unconditional and random specs
+    rng = np.random.default_rng(31)
+    seen = set()
+    for _ in range(120):
+        d = random_staged_diagram(rng, max_stages=4, max_extra=6)
+        for spec in (full_history_spec(d), unconditional_spec(d), random_parent_spec(rng, d)):
+            want = _reports_reference(d, spec)
+            reports = (
+                check_simple_stability(d),
+                check_extended_stability(d),
+                check_general(d, spec),
+                check_pearl_robins(d, spec),
+            )
+            for r in reports:
+                got = [
+                    (e.index, e.query, e.passed, e.verdict and e.verdict.witness, e.note)
+                    for e in r.entries
+                ]
+                assert got == want[r.check], r.check
+                seen.update((r.check, e.passed, e.note) for e in r.entries)
+    # every check both passed and failed somewhere, and both stability checks
+    # met a stage with nothing to test
+    for check in ("simple-stability", "general-criterion", "pearl-robins"):
+        assert {(check, True, ""), (check, False, "")} <= seen
+    assert {("simple-stability", True, "vacuous"), ("extended-stability", True, "vacuous")} <= seen
+
+
+def test_a_stage_graph_that_raises_stops_the_check_at_that_stage(monkeypatch):
+    # the stage graphs are built in stage order, each after the earlier
+    # stages are asked, and a check that raises stores no report
+    calls = []
+    inner = stability.d_separated
+    monkeypatch.setattr(stability, "d_separated", lambda *a: calls.append(a) or inner(*a))
+    rng = np.random.default_rng(37)
+    stages = set()
+    for _ in range(300):
+        d = random_staged_diagram(rng, max_stages=4, max_extra=6)
+        edges = [(b, a) if rng.random() < 0.3 else (a, b) for a, b in d.edges]
+        d = staged_diagram(d.n_stages, [(v.label, v.kind, v.stage) for v in d.vars], edges)
+        spec = random_parent_spec(rng, d)
+        for k in range(1, d.n_stages + 1):
+            try:
+                build_check_graph(d, spec, k)
+            except CycleDetected as exc:
+                cycle = exc.cycle
+                break
+        else:
+            continue
+        calls.clear()
+        with pytest.raises(CycleDetected) as exc:
+            check_general(d, spec)
+        assert exc.value.cycle == cycle
+        assert len(calls) == k - 1
+        assert d.__dict__.get("_check_reports", {}) == {}
+        stages.add(k)
+    assert {1, 2} <= stages

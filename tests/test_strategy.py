@@ -27,6 +27,7 @@ from seqident.errors import (
 )
 from seqident.diagram import kernel_parent_order
 from seqident.fuzz import random_model, random_parent_spec, random_staged_diagram
+import seqident.strategy as strategy_module
 from seqident.strategy import MAX_ENUMERATION
 
 from .oracles import assert_same_strategy, choice_tables_reference, deterministic_candidates
@@ -200,6 +201,28 @@ class TestConstructors:
                 unconditional_spec(fig2b),
                 {"A1": np.array(row), "A2": np.array([0.5, 0.5])},
             )
+
+    @pytest.mark.parametrize("build", ["make_stochastic", "make_deterministic"])
+    def test_each_parent_order_derived_once(self, fig2b, fig2b_model, monkeypatch, build):
+        # the shape check and the finished strategy used to derive it apart
+        full = full_history_spec(fig2b)
+        states = fig2b_model.states
+        shapes = {a: tuple(states[p] for p in kernel_parent_order(fig2b, full, a)) for a in fig2b.actions}
+        calls = []
+
+        def counted(d, spec, action):
+            calls.append(action)
+            return kernel_parent_order(d, spec, action)
+
+        monkeypatch.setattr(strategy_module, "kernel_parent_order", counted)
+        if build == "make_stochastic":
+            kernels = {a: np.full(shape + (2,), 0.5) for a, shape in shapes.items()}
+            s = make_stochastic(fig2b, states, full, kernels)
+        else:
+            choices = {a: dict.fromkeys(np.ndindex(*shape), 0) for a, shape in shapes.items()}
+            s = make_deterministic(fig2b, states, full, choices)
+        assert calls == list(fig2b.actions)
+        assert s.parent_orders == (("L1",), ("L1", "A1", "L2"))
 
 
 class TestKernelLookup:
