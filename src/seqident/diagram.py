@@ -306,24 +306,28 @@ class StrategyParentSpec:
 def parent_spec(d: StagedDiagram, mapping: Mapping[str, Iterable[str]]) -> StrategyParentSpec:
     """Validate and canonicalise a per-action parent mapping.
 
-    An action's parents are checked in a fixed order, so that the first one
-    refused does not depend on set iteration: labels the diagram lacks by
-    name, then the others by diagram position.
+    Of several parents an action may not have, the one named is the first in
+    a fixed order, whatever the set iteration order: labels the diagram
+    lacks by name, then the others by diagram position.
     """
     pos = d.position
     entries: list[tuple[str, frozenset[str]]] = []
     for action in d.actions:
         ps = frozenset(mapping.get(action, ()))
-        for p in sorted(ps, key=lambda p: (p in pos, pos.get(p, 0), p)):
+        refused = []  # (order key, message)
+        for p in ps:
             if p not in pos:
-                raise InvalidParentSpec(f"{p!r} is not a variable of the diagram")
-            kind = d.by_label[p].kind
+                refused.append(((0, p), f"{p!r} is not a variable of the diagram"))
+                continue
+            kind, at = d.by_label[p].kind, (1, pos[p])
             if kind is VarKind.HIDDEN:
-                raise InvalidParentSpec(f"strategy for {action} may not consult hidden {p}")
-            if kind is VarKind.OUTCOME:
-                raise InvalidParentSpec(f"strategy for {action} may not consult the outcome {p}")
-            if pos[p] >= pos[action]:
-                raise InvalidParentSpec(f"{p} is not realised before {action}")
+                refused.append((at, f"strategy for {action} may not consult hidden {p}"))
+            elif kind is VarKind.OUTCOME:
+                refused.append((at, f"strategy for {action} may not consult the outcome {p}"))
+            elif pos[p] >= pos[action]:
+                refused.append((at, f"{p} is not realised before {action}"))
+        if refused:
+            raise InvalidParentSpec(min(refused)[1])
         entries.append((action, ps))
     unknown = set(mapping) - set(d.actions)
     if unknown:

@@ -244,8 +244,15 @@ def check_theorem1_numeric(
         note = f"max deviation {dev:.3e}"
         if skipped:
             note += f"; skipped {skipped} zero-probability histories"
-        query = f"outcome law given {', '.join(hist) or 'nothing'} invariant to stage-{i} splice"
-        entries.append(CheckEntry(i, query, dev <= tol, None, note))
+        entries.append(
+            CheckEntry(
+                i,
+                f"outcome law given {', '.join(hist) or 'nothing'} invariant to stage-{i} splice",
+                dev <= tol,
+                None,
+                note,
+            )
+        )
     return IdentificationReport(check="splice-agreement", entries=tuple(entries))
 
 
