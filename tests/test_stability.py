@@ -23,7 +23,6 @@ from seqident import (
     staged_diagram,
     unconditional_spec,
 )
-from seqident.graph import build_dag
 from seqident.diagram import REGIME
 from seqident.errors import CycleDetected, InternalTheorem2Violation, InvalidParentSpec, UnknownLabel
 from seqident.fuzz import (
@@ -31,6 +30,7 @@ from seqident.fuzz import (
     random_staged_diagram,
     random_strategy,
 )
+from seqident.graph import build_dag
 
 from .oracles import (
     action_label_scan,
