@@ -9,6 +9,12 @@ Positions in that order are the node ids of every graph built from the
 diagram's parent masks, and each derived graph copies those masks and edits
 only the actions' entries.  The order sorts by stage, so the labels of one
 kind at a range of stages are a slice of a per-kind index.
+
+``parent_spec`` is the one place a strategy parent spec is checked against a
+diagram.  It stores the spec's strategy parents as position bitmasks on the
+diagram object, and the kernel parent orders, parent normalisation and the
+check graphs read them from there; a spec it did not give for that object
+is checked once, by the same rule, on first use.
 """
 
 from __future__ import annotations
@@ -306,9 +312,12 @@ class StrategyParentSpec:
 def parent_spec(d: StagedDiagram, mapping: Mapping[str, Iterable[str]]) -> StrategyParentSpec:
     """Validate and canonicalise a per-action parent mapping.
 
-    Of several parents an action may not have, the one named is the first in
-    a fixed order, whatever the set iteration order: labels the diagram
-    lacks by name, then the others by diagram position.
+    This is the one place a spec is checked against a diagram.  The spec it
+    returns is stored on the diagram object with each action's strategy
+    parents as a bitmask over positions, which ``_spec_masks`` hands to every
+    consumer.  Of several parents an action may not have, the one named is
+    the first in a fixed order, whatever the set iteration order: labels the
+    diagram lacks by name, then the others by diagram position.
     """
     pos = d.position
     entries: list[tuple[str, frozenset[str]]] = []
@@ -332,21 +341,26 @@ def parent_spec(d: StagedDiagram, mapping: Mapping[str, Iterable[str]]) -> Strat
     unknown = set(mapping) - set(d.actions)
     if unknown:
         raise InvalidParentSpec(f"not actions of the diagram: {sorted(unknown)}")
-    return StrategyParentSpec(parents=tuple(entries))
+    spec = StrategyParentSpec(parents=tuple(entries))
+    masks = {a: sum(1 << pos[p] for p in ps) for a, ps in entries}
+    d.__dict__.setdefault("_spec_masks", {})[spec] = masks
+    return spec
 
 
-def _spec_mask(d: StagedDiagram, spec: StrategyParentSpec, action: str) -> int:
-    """The action's strategy parents as a bitmask over the diagram's positions;
-    a parent the diagram lacks is refused as ``parent_spec`` refuses it, the
-    first by name when there are several."""
-    pos = d.position
-    mask = 0
-    for p in spec.of(action):
-        if p not in pos:
-            missing = min(q for q in spec.of(action) if q not in pos)
-            raise InvalidParentSpec(f"{missing!r} is not a variable of the diagram")
-        mask |= 1 << pos[p]
-    return mask
+def _spec_masks(d: StagedDiagram, spec: StrategyParentSpec) -> dict[str, int]:
+    """Each action's strategy parents as a bitmask over the diagram's positions.
+
+    The masks are those ``parent_spec`` stored for this diagram object.  A
+    spec it did not return for this object (made for another diagram, or
+    built by hand) is checked by ``parent_spec`` once: a spec without a
+    parent set for some action raises UnknownLabel, a parent the diagram may
+    not consult raises ``parent_spec``'s InvalidParentSpec, and any other
+    mismatch InvalidParentSpec.
+    """
+    store = d.__dict__.setdefault("_spec_masks", {})
+    if spec not in store and parent_spec(d, {a: spec.of(a) for a in d.actions}) != spec:
+        raise InvalidParentSpec("the parent spec lists actions the diagram lacks")
+    return store[spec]
 
 
 def kernel_parent_order(
@@ -354,16 +368,23 @@ def kernel_parent_order(
 ) -> tuple[str, ...]:
     """The action's strategy parents in diagram order, which is the order of
     the parent axes of its kernel table."""
-    return tuple(d.labels[p] for p in _ids(_spec_mask(d, spec, action)))
+    mask = _spec_masks(d, spec).get(action)
+    if mask is None:
+        raise UnknownLabel(f"no parent set for action {action!r}")
+    return tuple(d.labels[p] for p in _ids(mask))
+
+
+def _full_history(d: StagedDiagram) -> dict[str, frozenset[str]]:
+    """Per action, all earlier actions and all covariates realised so far."""
+    return {
+        a: frozenset(d.actions_before(i + 1) + d.covariates_through(i + 1))
+        for i, a in enumerate(d.actions)
+    }
 
 
 def full_history_spec(d: StagedDiagram) -> StrategyParentSpec:
     """Every action may consult all earlier actions and all covariates realised so far."""
-    mapping = {
-        a: set(d.actions_before(i + 1)) | set(d.covariates_through(i + 1))
-        for i, a in enumerate(d.actions)
-    }
-    return parent_spec(d, mapping)
+    return parent_spec(d, _full_history(d))
 
 
 def unconditional_spec(d: StagedDiagram) -> StrategyParentSpec:
@@ -371,7 +392,7 @@ def unconditional_spec(d: StagedDiagram) -> StrategyParentSpec:
 
 
 def is_full_history(d: StagedDiagram, spec: StrategyParentSpec) -> bool:
-    return spec == full_history_spec(d)
+    return spec.parents == tuple(_full_history(d).items())
 
 
 def normalize_parents(d: StagedDiagram, spec: StrategyParentSpec) -> StagedDiagram:
@@ -385,8 +406,8 @@ def normalize_parents(d: StagedDiagram, spec: StrategyParentSpec) -> StagedDiagr
     pos = d.position
     extra_edges: list[tuple[str, str]] = []
     extra_inert: set[tuple[str, str]] = set(d.inert)
-    for action in d.actions:
-        for p in _ids(_spec_mask(d, spec, action) & ~d.parent_masks[pos[action]]):
+    for action, mask in _spec_masks(d, spec).items():
+        for p in _ids(mask & ~d.parent_masks[pos[action]]):
             extra_edges.append((d.labels[p], action))
             extra_inert.add((action, d.labels[p]))
     if not extra_edges:
@@ -405,15 +426,14 @@ def build_check_graph(d: StagedDiagram, spec: StrategyParentSpec, i: int) -> Dag
     """
     if not 0 <= i <= d.n_stages:
         raise StageOutOfRange(f"stage {i} not in 0..{d.n_stages}")
+    pos = d.position
     masks = list(d.parent_masks)
-    for k, v in enumerate(d.vars):
-        if v.kind is not VarKind.ACTION or v.stage < i:
-            continue
-        strategy = _spec_mask(d, spec, v.label)
-        if v.stage > i or i == 0:
-            masks[k] = strategy
-        else:
-            masks[k] |= strategy | 1 << len(d.vars)
+    for a, strategy in _spec_masks(d, spec).items():
+        stage = d.by_label[a].stage
+        if stage > i or i == 0:
+            masks[pos[a]] = strategy
+        elif stage == i:
+            masks[pos[a]] |= strategy | 1 << len(d.vars)
     if i == 0:
         return Dag(d.labels, tuple(masks))
     return Dag(d.labels + (REGIME,), (*masks, 0))
@@ -433,10 +453,10 @@ def build_pearl_robins_graph(
         raise StageOutOfRange(f"stage {i} not in 1..{d.n_stages}")
     if dprime.labels[: len(d.vars)] != d.labels:
         raise UnknownLabel("the graph's first nodes are not the diagram's variables in order")
-    pos = d.position
+    pos, strategy = d.position, _spec_masks(d, spec)
     cut = 1 << pos[d.action_label(i)]
     masks = [m & ~cut for m in dprime.parent_masks]
     for j in range(i + 1, d.n_stages + 1):
         a = d.action_label(j)
-        masks[pos[a]] &= _spec_mask(d, spec, a)
+        masks[pos[a]] &= strategy[a]
     return Dag(dprime.labels, tuple(masks))

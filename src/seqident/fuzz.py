@@ -112,16 +112,19 @@ def random_strategy(
     name: str = "s",
 ) -> Strategy:
     """Random kernels, or with ``deterministic`` one uniform state per history."""
+    orders = [kernel_parent_order(d, spec, a) for a in d.actions]
     tables = {}
-    for a in d.actions:
-        pshape = tuple(states[p] for p in kernel_parent_order(d, spec, a))
+    for a, order in zip(d.actions, orders):
+        pshape = tuple(states[p] for p in order)
         n = states[a]
         if deterministic:
             rows = [rng.integers(n) for _ in np.ndindex(*pshape)]  # in history-row order
             tables[a] = np.array(rows, dtype=np.int64).reshape(pshape)
         else:
             tables[a] = _random_rows(rng, pshape + (n,))
-    return (_gathered if deterministic else make_stochastic)(d, states, spec, tables, name)
+    if deterministic:
+        return _gathered(d, states, spec, tables, name, orders)
+    return make_stochastic(d, states, spec, tables, name)
 
 
 def random_loss(rng: np.random.Generator, states: dict[str, int], outcome: str) -> LossFunction:

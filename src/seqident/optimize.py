@@ -267,9 +267,10 @@ def optimize_bruteforce(
     it, and ``argmax`` lists every strategy attaining the largest value in
     enumeration order.  ``_candidate_values`` shares each stage of the
     recursion among all strategies that agree on the later actions' choice
-    tables; ``Strategy`` objects are built only for the argmax set, by
-    ``StrategyEnumeration._build``: one batched gather of indicator rows per
-    action, valid by construction, so no winner is checked again.
+    tables; ``Strategy`` objects are built only for the argmax set, and
+    lazily, by ``StrategyEnumeration._build``: indicator rows gathered from
+    each winner's choice tables, valid by construction, so no winner is
+    checked again.
     """
     stream = enumerate_deterministic(d, oc.states, spec, cap=cap)
     best: float | None = None

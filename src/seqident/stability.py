@@ -14,6 +14,9 @@ A graphical check runs once per diagram object and spec: its report is
 stored on the diagram instance, so a later call with the same object and
 spec, including the calls inside ``decide_identifiability``, returns the same
 report.  An equal diagram built separately starts with an empty store.
+A spec is checked against a diagram object once as well: ``parent_spec``
+stores its strategy-parent masks on the instance, and every check and check
+graph reads them through ``diagram._spec_masks``.
 """
 
 from __future__ import annotations
@@ -30,12 +33,12 @@ from .diagram import (
     StagedDiagram,
     StrategyParentSpec,
     VarKind,
+    _spec_masks,
     build_check_graph,
     build_pearl_robins_graph,
     is_full_history,
-    parent_spec,
 )
-from .errors import InternalTheorem2Violation, InvalidParentSpec
+from .errors import InternalTheorem2Violation
 from .graph import SeparationVerdict, ancestors, d_separated
 from .prob import DiscreteModel, _condition, _contract, _spliced_factors
 from .strategy import Strategy
@@ -76,9 +79,9 @@ def _once_per_diagram(check: Callable[..., IdentificationReport]):
     The store sits in the instance ``__dict__``, as ``cached_property``
     values do, so it lives and dies with the object and is never shared by
     equal diagrams.  A call that raises stores nothing.  Before a check
-    first runs with a spec, the spec must be what ``parent_spec`` gives for
-    this diagram: a spec without a parent set for some action raises
-    UnknownLabel, and any other mismatch InvalidParentSpec.
+    first runs with a spec, ``diagram._spec_masks`` reads the spec's masks,
+    which refuses a spec that ``parent_spec`` would not give for this
+    diagram object.
     """
 
     @functools.wraps(check)
@@ -88,8 +91,7 @@ def _once_per_diagram(check: Callable[..., IdentificationReport]):
         report = reports.get(key)
         if report is None:
             for s in spec:
-                if parent_spec(d, {a: s.of(a) for a in d.actions}) != s:
-                    raise InvalidParentSpec("the parent spec lists actions the diagram lacks")
+                _spec_masks(d, s)
             report = reports[key] = check(d, *spec)
         return report
 

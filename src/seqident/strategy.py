@@ -280,19 +280,14 @@ class StrategyEnumeration:
     def _build(self, idx: Sequence[int]) -> Iterator[Strategy]:
         """The strategies at the given enumeration indices, named ``s{index}``.
 
-        Each action's indicator tables for the whole batch are one gather of
-        identity rows, so they are distributions by construction and skip
-        ``_make``'s checks; every strategy copies its own rows out of the batch.
+        The choice tables are decoded for the whole batch at once, and each
+        strategy is gathered from its own by ``_gathered``, so its rows are
+        distributions by construction and are not checked again.
         """
-        batch = [np.eye(self._states[a])[c] for a, c in zip(self._d.actions, self._choices(idx))]
+        batch = self._choices(idx)
         for j, i in enumerate(idx):
-            yield Strategy(
-                name=f"s{i}",
-                spec=self._spec,
-                actions=self._d.actions,
-                parent_orders=self._parent_orders,
-                tables=tuple(t[j].copy() for t in batch),
-            )
+            choices = {a: c[j] for a, c in zip(self._d.actions, batch)}
+            yield _gathered(self._d, self._states, self._spec, choices, f"s{i}", self._parent_orders)
 
     def __iter__(self) -> Iterator[Strategy]:
         """Every strategy in enumeration order, built ``_ITER_CHUNK`` at a time by ``_build``."""

@@ -57,7 +57,7 @@ from seqident import (
     parent_spec,
     staged_diagram,
 )
-from seqident.diagram import VarKind, kernel_parent_order
+from seqident.diagram import VarKind
 from seqident.errors import (
     OverlappingSets,
     SeqidentError,
@@ -205,7 +205,7 @@ def check_graph_reference(d: StagedDiagram, spec: StrategyParentSpec, i: int) ->
         if v.stage < i:
             parents = d.pa_o(v.label)
         elif v.stage > i or i == 0:
-            parents = kernel_parent_order(d, spec, v.label)
+            parents = sorted(spec.of(v.label), key=d.position.__getitem__)
         else:
             union = set(d.pa_o(v.label)) | spec.of(v.label)
             parents = sorted(union, key=d.position.__getitem__)
@@ -283,7 +283,7 @@ def normalize_parents_reference(d: StagedDiagram, spec: StrategyParentSpec) -> S
     extra_inert: set[tuple[str, str]] = set(d.inert)
     for action in d.actions:
         have = set(d.pa_o(action))
-        for p in kernel_parent_order(d, spec, action):
+        for p in sorted(spec.of(action), key=d.position.__getitem__):
             if p not in have:
                 extra_edges.append((p, action))
                 extra_inert.add((action, p))
@@ -441,7 +441,8 @@ def deterministic_candidates(d, states, spec):
     tables in lexicographic order over the histories (``np.ndindex`` order);
     across actions, the first most significant.  Named ``s{index}``."""
     configs = [
-        list(np.ndindex(*(states[p] for p in kernel_parent_order(d, spec, a)))) for a in d.actions
+        list(np.ndindex(*(states[p] for p in sorted(spec.of(a), key=d.position.__getitem__))))
+        for a in d.actions
     ]
     tables = [
         itertools.product(range(states[a]), repeat=len(cfgs)) for a, cfgs in zip(d.actions, configs)
