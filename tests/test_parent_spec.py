@@ -87,7 +87,7 @@ def _count_parent_spec(monkeypatch) -> list:
         calls.append(d)
         return original(d, mapping)
 
-    for module in (diagram_module, stability_module, strategy_module):
+    for module in (diagram_module, stability_module):
         if hasattr(module, "parent_spec"):
             monkeypatch.setattr(module, "parent_spec", counted)
     return calls
