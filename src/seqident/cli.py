@@ -71,7 +71,7 @@ from .stability import (
     check_theorem1_numeric,
     decide_identifiability,
 )
-from .strategy import MAX_ENUMERATION
+from .strategy import ENUMERATION_CAP, MAX_ENUMERATION
 
 
 class _UsageError(Exception):
@@ -362,7 +362,7 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _optimum(oc, d: StagedDiagram, loss, spec: StrategyParentSpec, cap: int = 10**6):
+def _optimum(oc, d: StagedDiagram, loss, spec: StrategyParentSpec, cap: int = ENUMERATION_CAP):
     """Backward induction on the full-history spec, brute force on any other."""
     if is_full_history(d, spec):
         return optimize_backward(oc, d, loss, spec)
@@ -528,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="optimal strategy search")
     p.add_argument("file")
     p.add_argument("--spec", default="full")
-    p.add_argument("--max-enum", type=_at_least(int, 1, MAX_ENUMERATION), default=10**6,
+    p.add_argument("--max-enum", type=_at_least(int, 1, MAX_ENUMERATION), default=ENUMERATION_CAP,
                    help="cap on strategy enumeration size")
     p.set_defaults(func=_cmd_optimize)
 

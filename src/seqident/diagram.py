@@ -354,12 +354,20 @@ def _spec_masks(d: StagedDiagram, spec: StrategyParentSpec) -> dict[str, int]:
     spec it did not return for this object (made for another diagram, or
     built by hand) is checked by ``parent_spec`` once: a spec without a
     parent set for some action raises UnknownLabel, a parent the diagram may
-    not consult raises ``parent_spec``'s InvalidParentSpec, and any other
-    mismatch InvalidParentSpec.
+    not consult raises ``parent_spec``'s InvalidParentSpec.  So does any
+    other mismatch: an action the diagram lacks, else the first action
+    listed out of stage order (or twice), else parent sets that are not
+    frozensets.
     """
     store = d.__dict__.setdefault("_spec_masks", {})
     if spec not in store and parent_spec(d, {a: spec.of(a) for a in d.actions}) != spec:
-        raise InvalidParentSpec("the parent spec lists actions the diagram lacks")
+        listed = [a for a, _ in spec.parents]
+        if not set(listed) <= set(d.actions):
+            raise InvalidParentSpec("the parent spec lists actions the diagram lacks")
+        for i, a in enumerate(listed):
+            if d.actions[i : i + 1] != (a,):
+                raise InvalidParentSpec(f"the parent spec lists {a} out of stage order")
+        raise InvalidParentSpec("the parent spec's parent sets are not frozensets")
     return store[spec]
 
 

@@ -24,11 +24,11 @@ from .evaluate import (
     _loss_table,
     _sum_block,
     _violation,
-    _walk_stage,
     check_recursion_support,
 )
 from .prob import LossFunction
-from .strategy import Strategy, StrategyEnumeration, _gathered, enumerate_deterministic
+from .strategy import ENUMERATION_CAP, Strategy, StrategyEnumeration, enumerate_deterministic
+from .strategy import _gathered
 
 _CHUNK_CELLS = 2**15  # cap on the cells of one batched table in brute force
 
@@ -157,6 +157,7 @@ def _suffix_values(
     j: int,
     f: np.ndarray,
     pos: np.ndarray,
+    flags: bool = False,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Carry continuation values from action j's stage down to the empty history.
 
@@ -168,6 +169,14 @@ def _suffix_values(
     ``choice * S + pos[r]``, S being the number of old suffixes.  Blocks keep
     each table under ``_CHUNK_CELLS`` and go down on their own; yields
     ``(strategy indices, values)`` once j reaches 0.
+
+    With ``flags``, every (history, block, action) cell outside
+    ``oc.masks[j]`` adds 1 to f before action j is reduced.  From zeros, a
+    candidate's result is then the expected number of unsupported cells its
+    forward walk reaches, positive exactly where ``check_recursion_support``
+    flags it: the walk and this count multiply the same factors, each at
+    most 1, in different orders, so they can disagree only where a reach
+    probability is within rounding of the smallest subnormal double.
     """
     if j == 0:
         yield pos, f
@@ -177,53 +186,14 @@ def _suffix_values(
     orders = stream._parent_orders[j - 1]
     n = f.shape[-1]
     rows = np.arange(0, table.size * n, n).reshape(table.shape + (1,))  # each history's row offset
-    flat = f.reshape(len(f), -1)
+    flat = (f + ~oc.masks[j] if flags else f).reshape(len(f), -1)
     for cs, ss in _blocks(size, len(pos), max(1, _CHUNK_CELLS // table.size)):
         c = np.arange(cs.start, cs.stop)
         chosen = _expand_kernel(oc, j, stream._tables(j - 1, c)[..., None], orders) + rows
         g = np.take(flat[ss], chosen.reshape(len(c), -1), axis=1)  # contiguous, unlike indexing
         del chosen  # as large as the block: freed before the block goes down
         g = _sum_block(table, g.reshape((-1,) + table.shape), nb)
-        yield from _suffix_values(oc, stream, j - 1, g, (pos[ss, None] + c * span).ravel())
-
-
-def _first_failing(
-    oc: ObservationalConditionals,
-    stream: StrategyEnumeration,
-    i: int,
-    w: np.ndarray,
-    pos: np.ndarray,
-) -> int | None:
-    """The smallest strategy index whose support walk is flagged at stage i or
-    later, among the extensions of the choice-table prefixes (actions
-    1..i-1) with indices ``pos``; ``w[r]`` is prefix r's walk weight over
-    stage i's history.
-
-    A prefix's flags do not depend on later choices, so a prefix flagged at
-    index p fails first at p × (number of suffixes), and only smaller
-    prefixes are walked on.  Prefix blocks go in increasing order, so the
-    first block with a flag holds the answer.
-    """
-    if i > oc.n_stages or not len(pos):
-        return None
-    size, span = stream._radices[i - 1], math.prod(stream._radices[i:])
-    eye = np.eye(oc.states[oc.action_labels[i - 1]])
-    for ps, cs in _blocks(len(pos), size, max(1, _CHUNK_CELLS // oc.masks[i].size)):
-        c = np.arange(cs.start, cs.stop)
-        kernel = _expand_kernel(oc, i, eye[stream._tables(i - 1, c)], stream._parent_orders[i - 1])
-        v = _walk_stage(oc, i, w[ps, None], kernel).reshape((-1,) + oc.masks[i].shape)
-        vpos = (pos[ps, None] * size + c[None]).ravel()
-        found = None
-        unsupported = ((v > 0.0) & ~oc.masks[i]).reshape(len(vpos), -1).any(axis=1)
-        if unsupported.any():
-            r = int(np.argmax(unsupported))
-            found, v, vpos = int(vpos[r]) * span, v[:r], vpos[:r]
-        deeper = _first_failing(oc, stream, i + 1, v, vpos)
-        if deeper is not None:
-            return deeper
-        if found is not None:
-            return found
-    return None
+        yield from _suffix_values(oc, stream, j - 1, g, (pos[ss, None] + c * span).ravel(), flags)
 
 
 def _candidate_values(
@@ -239,18 +209,19 @@ def _candidate_values(
     value is the same float operations as evaluating it on its own, bitwise.
     The blocks are not in index order; together they cover every index once.
 
-    Without full positivity the support walk runs once per prefix instead
-    (``_first_failing``), and the first flagged strategy is rebuilt so that
+    Without full positivity the same pass runs first with support flags,
+    from zeros, and the smallest flagged strategy is rebuilt so that
     ``check_recursion_support`` raises exactly what evaluating it would.
     Some strategy is always flagged then: the one that takes the gap's
     history actions unconditionally, then the unobserved state, reaches it.
     """
+    n, start = oc.n_stages, np.zeros(1, dtype=np.int64)
     if _positivity_gap(oc) is not None:
-        first = _first_failing(oc, stream, 1, np.ones(1), np.zeros(1, dtype=np.int64))
+        flagged = _suffix_values(oc, stream, n, np.zeros((1,) + oc.masks[n].shape), start, True)
+        first = min(int(idx[v > 0].min(initial=stream.count)) for idx, v in flagged)
         check_recursion_support(oc, next(stream._build([first])))
-    n = oc.n_stages
     f = _sum_block(oc.tables[n], _loss_table(oc, k), len(oc.block_vars[n]))
-    yield from _suffix_values(oc, stream, n, f[None], np.zeros(1, dtype=np.int64))
+    yield from _suffix_values(oc, stream, n, f[None], start)
 
 
 def optimize_bruteforce(
@@ -258,7 +229,7 @@ def optimize_bruteforce(
     d: StagedDiagram,
     k: LossFunction,
     spec: StrategyParentSpec,
-    cap: int = 10**6,
+    cap: int = ENUMERATION_CAP,
 ) -> OptimizationResult:
     """Evaluate every deterministic strategy for the spec and keep the argmax set.
 

@@ -214,6 +214,7 @@ def strategies_equal(a: Strategy, b: Strategy) -> bool:
 
 
 MAX_ENUMERATION = 2**63 - 1  # the largest strategy count whose indices fit in int64
+ENUMERATION_CAP = 10**6  # default cap on the strategies one search enumerates
 _ITER_CHUNK = 256  # strategies decoded at a time by ``StrategyEnumeration.__iter__``
 
 
@@ -299,7 +300,7 @@ def enumerate_deterministic(
     d: StagedDiagram,
     states: Mapping[str, int],
     spec: StrategyParentSpec,
-    cap: int = 10**6,
+    cap: int = ENUMERATION_CAP,
 ) -> StrategyEnumeration:
     """All deterministic strategies, duplicate-free, in lexicographic table order.
 

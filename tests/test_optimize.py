@@ -32,7 +32,7 @@ from seqident.errors import (
 )
 from seqident.fuzz import random_model, random_parent_spec, random_staged_diagram
 from seqident.evaluate import check_recursion_support
-from seqident.optimize import _candidate_values
+from seqident.optimize import _candidate_values, _positivity_gap, _suffix_values
 
 from .oracles import assert_same_strategy, bruteforce_reference
 
@@ -411,6 +411,33 @@ class TestBatchedBruteForce:
         assert stages == [1, 1, None, 2]
         _assert_same_error(oc, d, unit_loss, unconditional_spec(d))
 
+    @pytest.mark.parametrize("cells", [1, 40, None])
+    def test_support_flags_are_the_strategies_the_walk_refuses(self, monkeypatch, cells):
+        # one to two zeroed action columns per model; the flag pass must pick
+        # out exactly the candidates that cannot be evaluated on their own
+        _cap_cells(monkeypatch, cells)
+        rng = np.random.default_rng(307)
+        done = 0
+        while done < 30:
+            d = _block_diagram(rng, int(rng.integers(2, 4)))
+            m = random_model(rng, d, state_choices=(2, 3))
+            spec = random_parent_spec(rng, d, p_keep=0.3)
+            if not _small(d, m, spec):
+                continue
+            for a in rng.choice(d.actions, size=int(rng.integers(1, 3)), replace=False):
+                m = _zero_column(m, a, int(rng.integers(m.states[a])))
+            oc = observational_conditionals(m, d)
+            stream = enumerate_deterministic(d, oc.states, spec)
+            refused = set()
+            for i, s in enumerate(stream):
+                try:
+                    check_recursion_support(oc, s)
+                except PositivityViolation:
+                    refused.add(i)
+            assert _support_flags(oc, stream) == refused
+            assert refused and _positivity_gap(oc) is not None
+            done += 1
+
     def test_one_walk_and_one_strategy_to_raise(self, fig2b, fig2b_model, monkeypatch):
         import seqident.evaluate
         import seqident.optimize
@@ -551,6 +578,14 @@ def _count_strategies(monkeypatch, calls):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Strategy, "__init__", counted)
+
+
+def _support_flags(oc, stream):
+    """The indices of the strategies whose support flag count is positive."""
+    n = oc.n_stages
+    zeros, start = np.zeros((1,) + oc.masks[n].shape), np.zeros(1, dtype=np.int64)
+    blocks = _suffix_values(oc, stream, n, zeros, start, flags=True)
+    return {int(i) for idx, v in blocks for i in idx[v > 0]}
 
 
 def _cap_cells(monkeypatch, cells):

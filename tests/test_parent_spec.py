@@ -31,7 +31,7 @@ from seqident import (
     unconditional_spec,
 )
 from seqident.diagram import StrategyParentSpec, kernel_parent_order
-from seqident.errors import InvalidParentSpec
+from seqident.errors import InvalidParentSpec, UnknownLabel
 from seqident.fuzz import random_strategy
 
 # hand-built specs on fig2a_bite whose parent the diagram does not allow
@@ -140,3 +140,37 @@ def test_random_deterministic_strategy_derives_each_parent_order_once(fig2b, fig
     )
     assert calls == list(fig2b.actions)
     assert s.deterministic and s.parent_orders == (("L1",), ("L1", "A1", "L2"))
+
+
+# hand-built specs on fig2b that list only its own actions, and what is wrong
+_MISLISTED = {
+    "out of order": ((("A2", {"L2"}), ("A1", set())), "the parent spec lists A2 out of stage order"),
+    "twice": ((("A1", set()), ("A2", {"L2"}), ("A1", set())), "the parent spec lists A1 out of stage order"),
+}
+
+
+@pytest.mark.parametrize("call", ["kernel_parent_order", "check_general", "enumerate_deterministic"])
+@pytest.mark.parametrize("case", sorted(_MISLISTED))
+def test_a_misordered_spec_names_the_first_action_out_of_place(models_dir, case, call):
+    # both used to be refused as listing actions the diagram lacks, which it does not
+    pf = parse_model_file((models_dir / "fig2b.sid").read_text())
+    parents, message = _MISLISTED[case]
+    spec = StrategyParentSpec(parents=tuple((a, frozenset(ps)) for a, ps in parents))
+    calls = {
+        "kernel_parent_order": lambda: kernel_parent_order(pf.diagram, spec, "A1"),
+        "check_general": lambda: check_general(pf.diagram, spec),
+        "enumerate_deterministic": lambda: enumerate_deterministic(pf.diagram, pf.model.states, spec),
+    }
+    with pytest.raises(InvalidParentSpec, match=f"^{message}$"):
+        calls[call]()
+
+
+def test_a_spec_with_parent_tuples_is_refused_for_them(fig2b):
+    spec = StrategyParentSpec(parents=(("A1", ()), ("A2", ("L2",))))
+    with pytest.raises(InvalidParentSpec, match="^the parent spec's parent sets are not frozensets$"):
+        kernel_parent_order(fig2b, spec, "A2")
+
+
+def test_kernel_parent_order_of_a_non_action_names_it(fig2b):
+    with pytest.raises(UnknownLabel, match="^no parent set for action 'L1'$"):
+        kernel_parent_order(fig2b, full_history_spec(fig2b), "L1")
